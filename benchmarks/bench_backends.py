@@ -90,56 +90,6 @@ def measure(n: int, reps: int = REPS) -> dict:
     return out
 
 
-def plan_check(manifest: str, measured: dict, *,
-               log_path: str = "") -> bool:
-    """Gate the planner against this run's measured winners.
-
-    Feeds ``manifest`` (a ``runs.jsonl`` from a *previous* bench run)
-    to the planner and asks what ``backend="auto"`` would pick for each
-    measured algorithm.  The pick must cite measured history and agree
-    with the backend this run just measured as fastest — the
-    end-to-end proof that recorded manifests actually steer decisions.
-    Writes a JSON decision log (every candidate, rule, and wall) to
-    ``log_path`` when given; returns overall pass/fail.
-    """
-    from repro.planner import ExecutionPolicy, decide_for
-
-    n = measured["n"]
-    log = {"manifest": str(manifest), "n": n, "checks": []}
-    ok = True
-    for algorithm, r in measured["results"].items():
-        winner = ("reference" if r["reference_s"] <= r["numpy_s"]
-                  else "numpy")
-        decision = decide_for(
-            ExecutionPolicy(history=str(manifest)),
-            algorithm=algorithm, n=n, p=256,
-        )
-        agrees = decision.backend == winner
-        from_history = decision.source == "history"
-        ok = ok and agrees and from_history
-        log["checks"].append({
-            "algorithm": algorithm,
-            "measured_winner": winner,
-            "measured": {"reference_s": r["reference_s"],
-                         "numpy_s": r["numpy_s"]},
-            "planned": decision.backend,
-            "rule": decision.rule,
-            "source": decision.source,
-            "agrees": agrees,
-            "candidates": [c.to_dict() for c in decision.candidates],
-        })
-        flag = "ok" if agrees and from_history else "MISMATCH"
-        print(f"  plan-check {algorithm}: measured winner {winner}, "
-              f"auto picks {decision.backend} "
-              f"(rule={decision.rule}) [{flag}]")
-    log["passed"] = ok
-    if log_path:
-        with open(log_path, "w") as fh:
-            json.dump(log, fh, indent=2)
-        print(f"wrote {log_path}")
-    return ok
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=N)
@@ -148,14 +98,6 @@ def main(argv=None) -> int:
                         help="also write the measurement to this file")
     parser.add_argument("--require", type=float, default=0.0,
                         help="fail unless match4's speedup meets this bar")
-    parser.add_argument("--plan-check", default="", metavar="MANIFEST",
-                        help="gate backend='auto' against this run: the "
-                             "planner, fed MANIFEST (a prior run's "
-                             "runs.jsonl), must pick each algorithm's "
-                             "measured winner")
-    parser.add_argument("--decision-log", default="", metavar="PATH",
-                        help="with --plan-check: write the full decision "
-                             "log (candidates, rules, walls) to PATH")
     parser.add_argument("--profile", default="", metavar="DIR",
                         help="also profile one match4/numpy run at this n "
                              "(Perfetto trace, profile JSON, metrics, "
@@ -181,11 +123,6 @@ def main(argv=None) -> int:
         got = out["results"]["match4"]["speedup"]
         if got < args.require:
             print(f"FAIL: match4 speedup {got:.2f}x < {args.require}x")
-            return 1
-    if args.plan_check:
-        if not plan_check(args.plan_check, out,
-                          log_path=args.decision_log):
-            print("FAIL: planner picks diverge from measured winners")
             return 1
     if args.profile:
         from repro.cli import main as repro_cli

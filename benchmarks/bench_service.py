@@ -35,11 +35,7 @@ Observability extensions (all ``--spawn``-only):
   sink (the raw material for trace reconstruction);
 - ``--trace-json PATH`` — after the run, reconstruct the first
   request's span tree from the server telemetry and write it as a
-  Chrome Trace (``chrome://tracing`` / Perfetto);
-- ``--feedback`` — enable the telemetry→planner loop on the server,
-  then re-load the feedback records it wrote and verify the planner
-  now cites measured history (``rule=history``) for a workload the
-  service actually served.
+  Chrome Trace (``chrome://tracing`` / Perfetto).
 """
 
 from __future__ import annotations
@@ -195,9 +191,6 @@ def spawn_server(args, manifest: Path) -> tuple[subprocess.Popen, int]:
     ]
     if args.server_workers:
         cmd += ["--workers", str(args.server_workers)]
-    if args.feedback:
-        cmd += ["--feedback", "--feedback-sample", "1",
-                "--feedback-path", str(args.feedback_path)]
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, text=True)
     assert proc.stdout is not None
     banner = proc.stdout.readline().strip()
@@ -259,56 +252,6 @@ def check_debug_probe(probe: dict, summary: dict) -> list[str]:
             f"SLO bad rate {probe['slo']['bad_rate']} below the "
             f"shed+timeout floor {round(floor, 4)}")
     return problems
-
-
-def check_feedback(path: Path) -> dict:
-    """Re-load the server's feedback records and re-plan from them.
-
-    The acceptance bar for the telemetry→planner loop: a fresh planner
-    seeded only from what the service recorded must price a workload
-    regime the service actually served from *measured history*
-    (``rule=history``), not cold-start priors.
-    """
-    from repro.planner import PlanContext, Planner
-    from repro.telemetry import read_records
-
-    records = [r for r in read_records(path)
-               if (r.extra or {}).get("source") == "service-feedback"]
-    if not records:
-        raise AssertionError(f"--feedback wrote no records to {path}")
-    planner = Planner(history=path)
-    # Re-plan every regime the service served, largest lists first: the
-    # measured history must (a) be priced into the candidates
-    # everywhere and (b) win the decision outright somewhere (at small
-    # n the reference tier's cold-start prior legitimately stays ahead
-    # of any measured engine time — that is the planner working, not
-    # the loop failing).
-    regimes = sorted({(r.n, (r.extra or {}).get("layout"), r.algorithm)
-                      for r in records}, reverse=True)
-    winner = None
-    for n, layout, algorithm in regimes:
-        decision = planner.decide(PlanContext(
-            algorithm=algorithm, n=n, p=1, layout=layout,
-            model=planner.model,
-        ))
-        if not any(c.source == "history" for c in decision.candidates):
-            raise AssertionError(
-                f"no history-priced candidate for n={n} layout={layout} "
-                f"despite {len(records)} feedback records")
-        if winner is None and decision.rule == "history":
-            winner = (n, decision)
-    if winner is None:
-        raise AssertionError(
-            f"planner never cited rule=history across {len(regimes)} "
-            f"served regimes ({len(records)} feedback records)")
-    n, decision = winner
-    return {
-        "records": len(records),
-        "n": n,
-        "backend": decision.backend,
-        "rule": decision.rule,
-        "score_s": decision.plan.score,
-    }
 
 
 def write_trace_json(telemetry: Path, out: Path) -> dict:
@@ -411,18 +354,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-json", default="",
                         help="write the first request's reconstructed "
                              "span tree here (needs --server-telemetry)")
-    parser.add_argument("--feedback", action="store_true",
-                        help="--spawn: enable the telemetry→planner "
-                             "loop and verify rule=history afterwards")
-    parser.add_argument("--feedback-path", default="service-feedback.jsonl",
-                        help="--feedback: planner history records land "
-                             "here")
     args = parser.parse_args(argv)
 
     spawn_only = [name for name, on in (
         ("--debug-probe", args.debug_probe),
         ("--server-telemetry", bool(args.server_telemetry)),
-        ("--feedback", args.feedback),
     ) if on and not args.spawn]
     if spawn_only:
         raise SystemExit(f"{', '.join(spawn_only)} require --spawn")
@@ -469,8 +405,6 @@ def main(argv=None) -> int:
     if probe is not None:
         summary["debug_probe"] = probe
         failures += check_debug_probe(probe, summary)
-    if args.feedback:
-        summary["feedback"] = check_feedback(Path(args.feedback_path))
     if args.trace_json:
         summary["trace"] = write_trace_json(Path(args.server_telemetry),
                                             Path(args.trace_json))

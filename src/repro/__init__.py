@@ -88,9 +88,6 @@ from . import backends
 from .backends import BACKENDS, Backend
 from .backends.batch import BatchMatchResult, batch_maximal_matching
 from . import parallel
-from .parallel import ParallelConfig, using_config
-from . import planner
-from .planner import ExecutionPolicy, Planner
 from .resilience import resilient_matching
 from . import dynamic
 from .dynamic import ChurnConfig, ChurnSession, DynamicList, RepairLedger
@@ -102,7 +99,7 @@ __version__ = "1.0.0"
 __all__ = [
     # subpackages
     "analysis", "apps", "backends", "baselines", "bits", "core",
-    "dynamic", "lists", "parallel", "planner", "pram", "telemetry",
+    "dynamic", "lists", "parallel", "pram", "telemetry",
     # errors
     "ReproError", "InvalidListError", "InvalidParameterError",
     "PRAMError", "MemoryConflictError", "VerificationError",
@@ -119,10 +116,8 @@ __all__ = [
     "verify_matching", "verify_maximal_matching",
     # backends
     "BACKENDS", "Backend", "BatchMatchResult", "batch_maximal_matching",
-    # parallel
-    "ParallelConfig", "using_config",
-    # planner
-    "ExecutionPolicy", "Planner", "resilient_matching",
+    # resilience
+    "resilient_matching",
     # dynamic
     "ChurnConfig", "ChurnSession", "DynamicList", "RepairLedger",
     # apps

@@ -25,14 +25,15 @@ Select a backend per call::
 
     repro.maximal_matching(lst, algorithm="match4", backend="numpy")
 
-or run many independent lists in one engine invocation with
-:func:`repro.backends.batch.batch_maximal_matching`.
+or pass ``backend="auto"``, which :func:`auto_backend` resolves by one
+fixed rule, or run many independent lists in one engine invocation
+with :func:`repro.backends.batch.batch_maximal_matching`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from ..errors import InvalidParameterError
 from . import engine
@@ -43,6 +44,7 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
     "AUTO",
+    "auto_backend",
     "register_backend",
     "get_backend",
     "backend_names",
@@ -55,10 +57,9 @@ __all__ = [
 #: Backend used when ``backend=`` is not given anywhere in the API.
 DEFAULT_BACKEND = "reference"
 
-#: Sentinel backend name: let :mod:`repro.planner` pick the backend
-#: from run history.  Accepted wherever ``backend=`` is — it is not a
-#: registered :class:`Backend` and always resolves to one before any
-#: algorithm runs.
+#: Sentinel backend name, resolved by :func:`auto_backend`.  Accepted
+#: wherever ``backend=`` is — it is not a registered :class:`Backend`
+#: and always resolves to one before any algorithm runs.
 AUTO = "auto"
 
 
@@ -186,22 +187,24 @@ register_backend(Backend(
     limit=ENGINE_LIMIT,
 ))
 
-# Imported after the numpy backend: the multiprocess tier wraps the
-# engine (repro.parallel.chunked imports this package mid-init and
-# relies on the ``engine`` attribute above being bound already).
-from ..parallel import chunked as _chunked  # noqa: E402
 
-register_backend(Backend(
-    name="numpy-mp",
-    description=(
-        "numpy engine with the cut-walk phase distributed across a "
-        "process pool (bit-identical results; workers/chunk size from "
-        "repro.parallel's default ParallelConfig and REPRO_WORKERS)"
-    ),
-    algorithms={
-        "match1": _chunked.match1,
-        "match4": _chunked.match4,
-    },
-    canonical_kwargs=True,
-    limit=ENGINE_LIMIT,
-))
+def auto_backend(algorithm: str, sizes: Iterable[int], *,
+                 batch: bool = False) -> str:
+    """The concrete backend ``backend="auto"`` stands for.
+
+    ``"numpy"`` when the numpy engine implements ``algorithm`` (for a
+    batch: when a batch driver exists for it) and every list size is
+    below :data:`ENGINE_LIMIT`; ``"reference"`` otherwise.  Every
+    backend returns the same answer, so the rule only picks host
+    speed, and numpy is faster at every size measured
+    (``docs/backends.md``).
+    """
+    if batch:
+        from .batch import _BATCH_DRIVERS
+
+        implemented = algorithm in _BATCH_DRIVERS
+    else:
+        implemented = BACKENDS["numpy"].supports(algorithm)
+    if implemented and all(n < ENGINE_LIMIT for n in sizes):
+        return "numpy"
+    return "reference"

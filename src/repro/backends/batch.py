@@ -67,8 +67,9 @@ class BatchMatchResult:
     """What one batch run produced: per-list matchings + aggregate cost.
 
     ``extras`` carries execution provenance that is not part of the
-    result proper — notably ``extras["planner"]`` when the batch ran
-    with ``backend="auto"`` (mirrors ``MatchResult.extras``).
+    result proper — ``extras["requested_backend"]`` is ``"auto"`` when
+    the batch ran with ``backend="auto"`` (mirrors
+    ``MatchResult.extras``).
     """
 
     matchings: tuple[Matching, ...]
@@ -302,23 +303,21 @@ _BATCH_DRIVERS = {
 }
 
 
-def _resolve_batch_workers(backend: str, workers: int | None) -> int:
-    """Effective worker count for one batch call, validated config-time.
+def _validate_workers(workers: int | None) -> int:
+    """The effective worker count: ``None`` is serial, else an int >= 1.
 
-    An explicit ``workers`` is validated through
-    :class:`~repro.parallel.config.ParallelConfig` (``workers < 1``
-    raises :class:`InvalidParameterError` — a ``ValueError`` — before
-    any pool exists).  ``workers=None`` means serial, except on the
-    ``numpy-mp`` backend, which resolves the process-default config
-    (and thereby ``REPRO_WORKERS``).
+    Invalid values raise :class:`InvalidParameterError` (a
+    ``ValueError``) before any pool or shard exists.
     """
-    from ..parallel.config import ParallelConfig, get_default_config
-
-    if workers is not None:
-        return ParallelConfig(workers=workers).resolve_workers()
-    if backend == "numpy-mp":
-        return get_default_config().resolve_workers()
-    return 1
+    if workers is None:
+        return 1
+    if not isinstance(workers, int) or isinstance(workers, bool):
+        raise InvalidParameterError(
+            f"workers must be an int >= 1 or None, got {workers!r}"
+        )
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def batch_maximal_matching(
@@ -328,7 +327,6 @@ def batch_maximal_matching(
     backend: str | None = None,
     p: int = 1,
     workers: int | None = None,
-    policy: Any = None,
     **kwargs: Any,
 ) -> BatchMatchResult:
     """Maximally match many independent lists in one call.
@@ -344,11 +342,9 @@ def batch_maximal_matching(
     ``workers`` engages :mod:`repro.parallel`: the batch is sharded by
     node-balanced contiguous ranges across that many worker processes,
     each running this function serially on its shard.  ``workers=None``
-    (default) is serial, except with ``backend="numpy-mp"``, which
-    resolves the process-default
-    :class:`~repro.parallel.config.ParallelConfig` (and the
-    ``REPRO_WORKERS`` environment variable).  ``workers < 1`` raises
-    :class:`InvalidParameterError` (a ``ValueError``) at config time.
+    (default) is serial.  ``workers`` must be an int >= 1; anything
+    else raises :class:`InvalidParameterError` (a ``ValueError``)
+    before any pool exists.
 
     **Order guarantee**: ``matchings[i]`` always corresponds to
     ``lists[i]`` — results are reassembled by shard index, never by
@@ -361,13 +357,9 @@ def batch_maximal_matching(
     falls back to serial execution (``parallel.fallback`` telemetry
     event) rather than erroring.
 
-    ``backend="auto"`` routes the whole batch through
-    :mod:`repro.planner` with the ``"batch"`` profile (one decision per
-    call, not per list — fused execution needs one backend); the
-    decision lands in ``result.extras["planner"]``.  An
-    :class:`~repro.planner.ExecutionPolicy` is accepted as ``policy=``
-    and merged with the kwargs above, exactly as in
-    :func:`repro.maximal_matching`.
+    ``backend="auto"`` resolves once for the whole batch through
+    :func:`~repro.backends.auto_backend` (fused execution needs one
+    backend); ``extras["requested_backend"]`` then records ``"auto"``.
 
     Kwargs are normalized exactly as in :func:`repro.maximal_matching`
     (canonical names, deprecated aliases warned, unknown rejected).
@@ -381,17 +373,14 @@ def batch_maximal_matching(
         maximal_matching,
         normalize_algorithm_kwargs,
     )
-    from . import AUTO, get_backend
-    from ..planner.policy import resolve_policy
+    from . import AUTO, auto_backend, get_backend
     from ..parallel.executor import run_sharded_batch
 
-    pol = resolve_policy(
-        policy, algorithm=algorithm, backend=backend, workers=workers,
-        defaults={"algorithm": "match4", "backend": "numpy"},
-    )
-    algorithm = pol.algorithm
-    backend = pol.backend
-    workers = pol.workers
+    if algorithm is None:
+        algorithm = "match4"
+    if backend is None:
+        backend = "numpy"
+    eff_workers = _validate_workers(workers)
 
     if algorithm not in ALGORITHMS:
         raise InvalidParameterError(
@@ -405,24 +394,11 @@ def batch_maximal_matching(
 
     extras: dict[str, Any] = {}
     if backend == AUTO:
-        from ..planner import decide_for
-
-        decision = decide_for(
-            pol, algorithm=algorithm,
-            n=int(max((l.n for l in lls), default=1)), p=p,
-            profile="batch", num_lists=len(lls),
-        )
-        extras["planner"] = decision.to_extra()
-        backend = decision.backend
-        if workers is None:
-            workers = decision.workers
+        backend = auto_backend(algorithm, (l.n for l in lls), batch=True)
+        extras["requested_backend"] = AUTO
 
     get_backend(backend)  # validate the name even for the loop path
-    eff_workers = _resolve_batch_workers(backend, workers)
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
-    # Inside a worker (and in every serial path) numpy-mp's batch form
-    # *is* the numpy arena; the parallelism lives in the sharding.
-    serial_backend = "numpy" if backend == "numpy-mp" else backend
 
     if telemetry_enabled():
         METRICS.histogram("batch.size").observe(len(lls))
@@ -434,7 +410,7 @@ def batch_maximal_matching(
     ):
         sharded = None
         if eff_workers > 1 and len(lls) > 1:
-            if serial_backend == "numpy":
+            if backend == "numpy":
                 # Fail fast (and identically to serial) before forking.
                 _require_supported(int(max(l.n for l in lls)))
                 if algorithm not in _BATCH_DRIVERS:
@@ -445,11 +421,11 @@ def batch_maximal_matching(
                     )
             sharded = run_sharded_batch(
                 lls, algorithm=algorithm, p=p, kwargs=kwargs,
-                workers=eff_workers, backend=serial_backend,
+                workers=eff_workers, backend=backend,
             )
         if sharded is not None:
             matchings, report = sharded
-        elif serial_backend == "numpy":
+        elif backend == "numpy":
             driver = _BATCH_DRIVERS.get(algorithm)
             if driver is None:
                 raise InvalidParameterError(
@@ -469,7 +445,7 @@ def batch_maximal_matching(
             collected = []
             for lst in lls:
                 res = maximal_matching(
-                    lst, algorithm=algorithm, backend=serial_backend, p=p,
+                    lst, algorithm=algorithm, backend=backend, p=p,
                     **kwargs
                 )
                 collected.append(res.matching)

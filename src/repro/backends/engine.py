@@ -270,15 +270,11 @@ def walk_segments(nxt: np.ndarray, live: np.ndarray, starts: np.ndarray,
     The kernel of Match1 step 4: each start is the first live pointer of
     one cut segment; the walk chooses it, skips the next live pointer,
     and repeats until the segment ends.  Segments never interact — the
-    cut guarantees a chosen pointer's neighbors are dead or skipped —
-    which is what lets :mod:`repro.parallel` run disjoint blocks of
-    segments in separate worker processes and merge the results
-    bit-identically.
+    cut guarantees a chosen pointer's neighbors are dead or skipped.
 
-    Parameters are plain arrays (no prep struct) so worker processes
-    can call this on reconstructed buffers: ``nxt`` the NEXT array,
-    ``live`` the length-``n`` survived-the-cut mask, ``starts`` the
-    segment-start addresses to walk, ``limit`` the round bound.
+    Parameters are plain arrays (no prep struct): ``nxt`` the NEXT
+    array, ``live`` the length-``n`` survived-the-cut mask, ``starts``
+    the segment-start addresses to walk, ``limit`` the round bound.
 
     Returns ``(chosen, rounds)``: the ascending addresses of the chosen
     pointers and the number of lockstep rounds the walk took (the
@@ -303,7 +299,6 @@ def walk_segments(nxt: np.ndarray, live: np.ndarray, starts: np.ndarray,
 
 def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
                        max_walk_rounds: int | None = None,
-                       walker=None,
                        ) -> tuple[np.ndarray, CutWalkStats, np.ndarray]:
     """Shared cut+walk kernel over a prep struct (single list or batch).
 
@@ -313,11 +308,6 @@ def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
     (``raw + 1``) qualify.  Returns ``(tails, stats, chosen)`` where
     ``chosen`` is the length ``n + 1`` per-node mask (dummy slot false)
     so callers can verify independence without rebuilding it.
-
-    ``walker`` substitutes the segment-walk kernel (same contract as
-    :func:`walk_segments`); the ``numpy-mp`` backend passes a
-    process-pool implementation here.  Everything around the walk — the
-    cut, the segment discovery, the end repair — stays in-process.
     """
     n = prep.n
     nxt = prep.nxt
@@ -341,8 +331,7 @@ def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
 
     chosen = np.zeros(n + 1, dtype=bool)
     limit = max_walk_rounds if max_walk_rounds is not None else n
-    walk = walker if walker is not None else walk_segments
-    idx, rounds = walk(nxt, live, current, limit)
+    idx, rounds = walk_segments(nxt, live, current, limit)
     chosen[idx] = True
     if cost is not None:
         cost.parallel(num_segments, depth=max(1, rounds))
@@ -420,14 +409,12 @@ def _fast_matching(lst: LinkedList, prep, tails: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
-           rounds: int | None = None, _walker=None,
+           rounds: int | None = None,
            ) -> tuple[Matching, CostReport, CutWalkStats]:
     """Algorithm Match1 on the numpy backend.
 
     Bit-identical tails, stats, and cost report to
     :func:`repro.core.match1.match1` for every supported input.
-    ``_walker`` is the private segment-walk substitution hook the
-    ``numpy-mp`` backend uses (see :func:`walk_segments`).
     """
     require(p >= 1, f"p must be >= 1, got {p}")
     if not isinstance(lst, LinkedList):
@@ -466,8 +453,7 @@ def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
             f"(max {max_label}); pass more rounds"
         )
     with cost.phase("cutwalk"):
-        tails, stats, chosen = _cut_and_walk_flat(prep, labels, cost,
-                                                  walker=_walker)
+        tails, stats, chosen = _cut_and_walk_flat(prep, labels, cost)
     return _fast_matching(lst, prep, tails, chosen), cost.report(), stats
 
 
@@ -615,7 +601,7 @@ def _check_sweeps(prep, sk_like_labels6, lst_list) -> None:
 def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
            kind: str = "msb", strategy: str = "iterate",
            memory_limit: int = 1 << 24, step1_table=None,
-           check: bool = False, _walker=None,
+           check: bool = False,
            ) -> tuple[Matching, CostReport, Match4Stats]:
     """Algorithm Match4 on the numpy backend (``strategy="iterate"``).
 
@@ -694,8 +680,7 @@ def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
         _check_sweeps(prep, l6e, [lst])
 
     with cost.phase("cutwalk"):
-        tails, cw, chosen = _cut_and_walk_flat(prep, l6e, cost,
-                                               walker=_walker)
+        tails, cw, chosen = _cut_and_walk_flat(prep, l6e, cost)
     matching = _fast_matching(lst, prep, tails, chosen)
     stats = Match4Stats(
         i=i, strategy=strategy, x=x, y=y,

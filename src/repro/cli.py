@@ -16,9 +16,9 @@ Gives the library a shell-usable face:
 - ``trace``  — space-time diagram of the instruction-level Match4.
 - ``selfcheck`` — the installation check battery.
 - ``dynamic`` — churn a live list through a seeded edit stream while
-  the matching is repaired locally (or recomputed per batch; ``auto``
-  asks the planner), with optional fault injection and a final
-  uniform-contraction pass (see ``docs/dynamic.md``).
+  the matching is repaired locally (or recomputed per batch), with
+  optional fault injection and a final uniform-contraction pass (see
+  ``docs/dynamic.md``).
 - ``profile`` — one-shot profiler: run an algorithm under telemetry
   capture (plus an instruction-level machine twin), write a Perfetto
   trace, a ProfileReport JSON, a Prometheus exposition, and a
@@ -88,43 +88,21 @@ def _cmd_match(args: argparse.Namespace) -> int:
     from .core.maximal_matching import maximal_matching
     import repro.baselines  # noqa: F401  (registers baselines)
 
-    from .planner import ExecutionPolicy
-
     lst = _make_list(args.n, args.layout, args.seed)
     kwargs = {}
     if args.algorithm == "match4":
         kwargs["iterations"] = args.i
-    workers = args.workers
-    if workers is not None:
-        from .parallel import config_with_workers, set_default_config
-
-        # Validated at config time (workers < 1 raises a ValueError
-        # before any pool exists); the numpy-mp backend reads this.
-        set_default_config(config_with_workers(workers))
-    policy = ExecutionPolicy(
-        history=args.history or None,
-        layout=args.layout,
-        mode="race" if args.race else "rules",
-    )
     t0 = time.perf_counter()
     result = maximal_matching(
         lst, algorithm=args.algorithm, backend=args.backend,
-        p=args.p, policy=policy, **kwargs
+        p=args.p, **kwargs
     )
     wall_s = time.perf_counter() - t0
     matching, report = result.matching, result.report
-    planner_extra = result.extras.get("planner")
+    requested = result.extras.get("requested_backend")
     print(f"algorithm : {args.algorithm}")
-    print(f"backend   : {result.backend}")
-    if planner_extra is not None:
-        line = (f"planned   : {planner_extra['backend']} "
-                f"(rule={planner_extra['rule']}, "
-                f"source={planner_extra['source']}")
-        if planner_extra.get("raced"):
-            line += ", raced"
-        print(line + ")")
-    if workers is not None:
-        print(f"workers   : {workers}")
+    print(f"backend   : {result.backend}"
+          + (f" (requested {requested})" if requested else ""))
     print(f"n, p      : {args.n}, {args.p}")
     print(f"matched   : {matching.size} of {args.n - 1} pointers")
     print(f"maximal   : {matching.is_maximal}")
@@ -138,9 +116,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         from .telemetry.runrecord import RunRecord, append_record
         from .telemetry import resources as _resources
 
-        extra = {"workers": workers} if workers is not None else {}
-        if planner_extra is not None:
-            extra["planner"] = planner_extra
+        extra = {}
         if _resources.enabled():
             extra["resources"] = _resources.build_report(
                 backend=result.backend).to_dict()
@@ -157,20 +133,11 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
     from .core.maximal_matching import ALGORITHMS
     import repro.baselines  # noqa: F401  (registers baselines)
 
-    plan_for = None
-    if args.plan:
-        plan_for = {"n": args.n, "layout": args.layout, "p": args.p}
-        if args.history:
-            plan_for["history"] = args.history
-    records = ALGORITHMS.describe(plan_for=plan_for)
+    records = ALGORITHMS.describe()
     if args.list:
         for rec in records:
             print(rec["name"])
         return 0
-    if plan_for is not None:
-        print(f"plan view : backend=\"auto\" at n={args.n}, "
-              f"layout={args.layout}"
-              + (f", history={args.history}" if args.history else ""))
     for rec in records:
         print(rec["name"] + (" (optimal)" if rec["optimal"] else ""))
         print(f"  backends : {', '.join(rec['backends'])}")
@@ -178,12 +145,6 @@ def _cmd_algorithms(args: argparse.Namespace) -> int:
             print(f"  paper    : {rec['paper_section']}")
         if rec["params"]:
             print(f"  kwargs   : {', '.join(rec['params'])}")
-        plan = rec.get("plan")
-        if plan is not None:
-            workers = (f", workers={plan['workers']}"
-                       if plan.get("workers") else "")
-            print(f"  plan     : {plan['backend']}{workers} "
-                  f"(rule={plan['rule']}, source={plan['source']})")
     return 0
 
 
@@ -303,23 +264,13 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     import json
 
     from .core.matching import verify_maximal_matching
-    from .dynamic import ChurnConfig, ChurnSession, decide_maintenance
+    from .dynamic import ChurnConfig, ChurnSession
     from .pram.faults import FaultPlan
 
     cfg = ChurnConfig(
         steps=args.steps, seed=args.seed, n_initial=args.n,
         layout=args.layout, burstiness=args.burstiness,
         burst_len=args.burst_len, hotspot=args.hotspot)
-
-    strategy = args.maintain
-    decision = None
-    if strategy == "auto":
-        decision = decide_maintenance(
-            n=max(args.n, 1), batch_size=max(args.batch, 1))
-        strategy = decision.strategy
-        print(f"planner: {decision.strategy} "
-              f"(batch={args.batch}, rule={decision.decision.rule}, "
-              f"candidates={len(decision.decision.candidates)})")
 
     plan = None
     if args.flips or args.drops:
@@ -329,8 +280,8 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             flips=args.flips, drops=args.drops)
 
     sess = ChurnSession(cfg, fault_plan=plan,
-                        maintain=(strategy == "repair"))
-    if strategy == "recompute":
+                        maintain=(args.maintain == "repair"))
+    if args.maintain == "recompute":
         batch = max(args.batch, 1)
 
         def on_edit(s: ChurnSession, k: int, op: str) -> None:
@@ -379,8 +330,6 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
 
     if args.json:
         out = result.to_dict()
-        if decision is not None:
-            out["planner"] = decision.to_dict()
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(out, fh, indent=2, sort_keys=True)
         print(f"wrote {args.json}")
@@ -592,10 +541,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_after_s=args.retry_after_s,
         manifest_path=args.record,
         seed=args.seed,
-        planner_history=args.planner_history,
-        feedback=args.feedback,
-        feedback_sample=args.feedback_sample,
-        feedback_path=args.feedback_path,
         slo_p95_ms=args.slo_p95_ms,
         slo_availability=args.slo_availability,
         live_window_s=args.live_window_s,
@@ -702,20 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "sequential", "random_mate"])
     m.add_argument("--backend", default="reference",
                    choices=backend_choices(),
-                   help="execution backend (default reference; 'auto' "
-                        "lets the planner pick from run history)")
+                   help="execution backend (default reference; 'auto': "
+                        "numpy where it implements the algorithm)")
     m.add_argument("--i", type=int, default=2,
                    help="Match4's iterations parameter")
-    m.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="worker processes for the multiprocess tier "
-                        "(sets repro.parallel's default config; pair "
-                        "with --backend numpy-mp)")
-    m.add_argument("--history", default="", metavar="PATH",
-                   help="runs.jsonl manifest feeding the planner's "
-                        "performance model (pair with --backend auto)")
-    m.add_argument("--race", action="store_true",
-                   help="with --backend auto: race reference vs numpy "
-                        "on unknown regimes, keep the winner")
     m.add_argument("--record", default="", metavar="PATH",
                    help="append a RunRecord JSON line to PATH")
     m.set_defaults(fn=_cmd_match)
@@ -724,17 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="list registered algorithms + metadata")
     al.add_argument("--list", action="store_true",
                     help="names only, one per line")
-    al.add_argument("--plan", action="store_true",
-                    help="show what backend=\"auto\" would pick per "
-                         "algorithm (and which rule fired)")
-    al.add_argument("--n", type=int, default=1 << 14,
-                    help="plan view: workload size (default 16384)")
-    al.add_argument("--p", type=int, default=1,
-                    help="plan view: processor count")
-    al.add_argument("--layout", default="random", choices=LAYOUT_CHOICES,
-                    help="plan view: workload layout hint")
-    al.add_argument("--history", default="", metavar="PATH",
-                    help="plan view: runs.jsonl manifest to plan from")
     al.set_defaults(fn=_cmd_algorithms)
 
     r = sub.add_parser("rank", help="list ranking")
@@ -802,11 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
     dy.add_argument("--hotspot", type=float, default=0.0,
                     help="operand skew toward low addresses (default 0)")
     dy.add_argument("--maintain", default="repair",
-                    choices=["repair", "recompute", "auto"],
-                    help="maintenance strategy; auto asks the planner "
-                         "(priced by --batch)")
+                    choices=["repair", "recompute"],
+                    help="maintenance strategy (default repair)")
     dy.add_argument("--batch", type=int, default=1,
-                    help="edits per maintenance decision/recompute")
+                    help="edits per recompute")
     dy.add_argument("--backend", default="reference",
                     choices=["reference", "numpy"],
                     help="engine for recompute passes")
@@ -876,7 +799,8 @@ def build_parser() -> argparse.ArgumentParser:
     rz.add_argument("--backend", default="reference",
                     choices=backend_choices(),
                     help="first-attempt backend for the ladder strategy "
-                         "('auto': planner picks from history)")
+                         "('auto': numpy where it implements the "
+                         "algorithm)")
     rz.add_argument("--crash-at", action="append", default=[],
                     metavar="STEP:PID",
                     help="crash-stop processor PID at step STEP (repeatable)")
@@ -911,7 +835,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default algorithm for requests that name none")
     sv.add_argument("--backend", default="numpy", choices=backend_choices(),
                     help="default backend for requests that name none "
-                         "('auto': planner picks per request)")
+                         "('auto': numpy where it implements the "
+                         "algorithm)")
     sv.add_argument("--workers", type=int, default=None,
                     help="shard batches across this many worker processes")
     sv.add_argument("--max-queue", type=int, default=64,
@@ -932,19 +857,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Retry-After hint on 429/503 responses")
     sv.add_argument("--record", default="",
                     help="append the final service RunRecord manifest here")
-    sv.add_argument("--planner-history", default="", metavar="PATH",
-                    help="runs.jsonl manifest seeding the planner for "
-                         "backend=\"auto\" requests")
     sv.add_argument("--seed", type=int, default=0,
                     help="seeds the retry-backoff jitter")
-    sv.add_argument("--feedback", action="store_true",
-                    help="feed sampled batch wall-clock back into the "
-                         "planner's history (telemetry→planner loop)")
-    sv.add_argument("--feedback-sample", type=int, default=4,
-                    metavar="N", help="record every Nth batch")
-    sv.add_argument("--feedback-path", default="", metavar="PATH",
-                    help="append feedback records here "
-                         "(default: --planner-history)")
     sv.add_argument("--slo-p95-ms", type=float, default=500.0,
                     help="SLO latency objective for /debug/vars burn rate")
     sv.add_argument("--slo-availability", type=float, default=0.999,

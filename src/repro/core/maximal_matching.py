@@ -138,32 +138,14 @@ class AlgorithmRegistry(Mapping[str, AlgorithmInfo]):
     def __len__(self) -> int:
         return len(self._infos)
 
-    def describe(
-        self, *, plan_for: Mapping[str, Any] | None = None,
-    ) -> list[dict[str, Any]]:
+    def describe(self) -> list[dict[str, Any]]:
         """One metadata record per algorithm, sorted by name.
 
         Keys: ``name``, ``backends``, ``paper_section``, ``optimal``,
         ``params`` — the CLI renders this for ``repro algorithms``.
-
-        With ``plan_for={"n": ..., "layout": ..., "history": ...}``
-        each record also carries ``plan``: what ``backend="auto"``
-        would pick for that workload and which rule fired (the CLI's
-        ``repro algorithms --plan`` view).  ``layout`` and ``history``
-        are optional; ``p`` defaults to 1.
         """
-        plan_policy = None
-        if plan_for is not None:
-            from ..planner import ExecutionPolicy
-
-            plan_policy = ExecutionPolicy(
-                layout=plan_for.get("layout"),
-                history=plan_for.get("history"),
-            )
-        out = []
-        for name in sorted(self._infos):
-            info = self._infos[name]
-            record = {
+        return [
+            {
                 "name": name,
                 "backends": info.backends,
                 "paper_section": info.paper_section,
@@ -171,22 +153,8 @@ class AlgorithmRegistry(Mapping[str, AlgorithmInfo]):
                 "params": (sorted(info.params)
                            if info.params is not None else None),
             }
-            if plan_for is not None:
-                from ..planner import decide_for
-
-                decision = decide_for(
-                    plan_policy, algorithm=name,
-                    n=int(plan_for["n"]), p=int(plan_for.get("p", 1)),
-                )
-                record["plan"] = {
-                    "backend": decision.backend,
-                    "workers": decision.workers,
-                    "rule": decision.rule,
-                    "source": decision.source,
-                    "score_s": decision.plan.score,
-                }
-            out.append(record)
-        return out
+            for name, info in sorted(self._infos.items())
+        ]
 
 
 #: Registry of maximal-matching algorithms.
@@ -287,37 +255,12 @@ def normalize_algorithm_kwargs(
     return out
 
 
-def _scoped_parallel_config(backend: str, workers: int | None,
-                            chunk_size: int | None):
-    """Context scoping the default ParallelConfig for one dispatch.
-
-    Only the ``numpy-mp`` tier reads the process-default config; for
-    any other backend (or when neither knob is set) this is a no-op
-    context, so policies carrying ``workers=`` stay harmless on serial
-    backends.
-    """
-    from contextlib import nullcontext
-
-    if backend != "numpy-mp" or (workers is None and chunk_size is None):
-        return nullcontext()
-    from ..parallel.config import ParallelConfig, get_default_config, \
-        using_config
-
-    base = get_default_config()
-    return using_config(ParallelConfig(
-        workers=workers if workers is not None else base.workers,
-        chunk_size=(chunk_size if chunk_size is not None
-                    else base.chunk_size),
-    ))
-
-
 def maximal_matching(
     lst: LinkedList | np.ndarray | list,
     *,
     algorithm: str | None = None,
     backend: str | None = None,
     p: int = 1,
-    policy: Any = None,
     **kwargs: Any,
 ) -> MatchResult:
     """Compute a maximal matching of a linked list.
@@ -332,19 +275,12 @@ def maximal_matching(
     backend:
         Execution backend (see :mod:`repro.backends`): ``"reference"``
         for the paper-faithful per-pointer implementations, ``"numpy"``
-        for the vectorized whole-array engine, ``"numpy-mp"`` for the
-        multiprocess tier — or ``"auto"`` to let :mod:`repro.planner`
-        pick from run history.  Results are bit-identical across
-        backends; only host wall-clock differs.  Default
-        ``"reference"``.
+        for the vectorized whole-array engine — or ``"auto"`` for the
+        one :func:`~repro.backends.auto_backend` names.  Results are
+        bit-identical across backends; only host wall-clock differs.
+        Default ``"reference"``.
     p:
         Processor count for the cost accounting.
-    policy:
-        An :class:`~repro.planner.ExecutionPolicy` (or mapping) setting
-        backend/workers/chunk_size/planner mode in one place.  The
-        scattered kwargs above keep working; both are merged through
-        :func:`~repro.planner.policy.resolve_policy`, which rejects
-        contradictions.
     kwargs:
         Forwarded to the algorithm under canonical names (e.g.
         ``iterations=3`` for Match4, ``sort_law="reif"`` for Match2).
@@ -355,19 +291,15 @@ def maximal_matching(
     MatchResult:
         Typed record with fields ``matching``, ``report``, ``stats``,
         ``backend``, ``algorithm``, ``extras``; unpacks as the legacy
-        ``(matching, report, stats)`` tuple.  When the planner resolved
-        ``backend="auto"``, ``extras["planner"]`` holds the full
-        decision (chosen plan, rule that fired, candidates considered).
+        ``(matching, report, stats)`` tuple.  ``backend`` is always the
+        concrete backend that ran; for ``backend="auto"``,
+        ``extras["requested_backend"]`` is ``"auto"``.
     """
-    from ..backends import AUTO, DEFAULT_BACKEND, get_backend
-    from ..planner.policy import resolve_policy
+    from ..backends import AUTO, DEFAULT_BACKEND, auto_backend, get_backend
 
-    pol = resolve_policy(
-        policy, algorithm=algorithm, backend=backend,
-        defaults={"algorithm": "match4", "backend": DEFAULT_BACKEND},
-    )
-    algorithm = pol.algorithm
-    requested_backend = pol.backend
+    if algorithm is None:
+        algorithm = "match4"
+    requested_backend = DEFAULT_BACKEND if backend is None else backend
 
     if not isinstance(lst, LinkedList):
         lst = LinkedList(lst)
@@ -381,37 +313,10 @@ def maximal_matching(
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
 
     extras: dict[str, Any] = {}
-    workers = pol.workers
-    chunk_size = pol.chunk_size
     resolved_backend = requested_backend
     if requested_backend == AUTO:
-        from ..planner import decide_for, run_race
-
-        decision = decide_for(pol, algorithm=algorithm, n=lst.n, p=p)
-        extras["planner"] = decision.to_extra()
-        if decision.raced:
-            from ..planner.core import planner_for_policy
-            from ..planner.rules import PlanContext
-
-            winner, race_info = run_race(
-                lst, backends=decision.race_backends,
-                algorithm=algorithm, p=p, kwargs=kwargs,
-                planner=planner_for_policy(pol),
-                ctx=decision.context,
-            )
-            extras["planner"]["raced"] = True
-            extras["planner"]["race"] = race_info
-            extras["planner"]["backend"] = race_info["winner"]
-            return MatchResult(
-                matching=winner.matching, report=winner.report,
-                stats=winner.stats, backend=winner.backend,
-                algorithm=algorithm, extras=extras,
-            )
-        resolved_backend = decision.backend
-        if workers is None:
-            workers = decision.workers
-        if chunk_size is None:
-            chunk_size = decision.plan.chunk_size
+        resolved_backend = auto_backend(algorithm, (lst.n,))
+        extras["requested_backend"] = AUTO
 
     backend_obj = get_backend(resolved_backend)
     fn = backend_obj.algorithms.get(algorithm)
@@ -431,9 +336,7 @@ def maximal_matching(
         "maximal_matching", algorithm=algorithm,
         backend=resolved_backend, n=lst.n, p=p, **span_attrs,
     ) as sp:
-        with _scoped_parallel_config(resolved_backend, workers,
-                                     chunk_size):
-            matching, report, stats = fn(lst, p=p, **kwargs)
+        matching, report, stats = fn(lst, p=p, **kwargs)
         if telemetry_enabled():
             sp.set(time=report.time, work=report.work,
                    matched=matching.size)

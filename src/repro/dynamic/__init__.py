@@ -2,10 +2,9 @@
 
 The static tier answers "what is a maximal matching of this list";
 this package keeps the answer current while the list mutates.  See
-:mod:`repro.dynamic.session` for the arena and the O(1)-radius repair,
-:mod:`repro.dynamic.churn` for seeded edit-stream workloads, and
-:mod:`repro.dynamic.policy` for the planner-priced repair-vs-recompute
-maintenance knob.
+:mod:`repro.dynamic.session` for the arena and the O(1)-radius repair
+(or the from-scratch :meth:`DynamicList.recompute`), and
+:mod:`repro.dynamic.churn` for seeded edit-stream workloads.
 """
 
 from .churn import (
@@ -14,11 +13,6 @@ from .churn import (
     ChurnResult,
     ChurnSession,
     make_churn_list,
-)
-from .policy import (
-    MaintenanceDecision,
-    decide_maintenance,
-    install_maintenance_rule,
 )
 from .session import (
     ComponentSnapshot,
@@ -34,10 +28,7 @@ __all__ = [
     "ChurnSession",
     "ComponentSnapshot",
     "DynamicList",
-    "MaintenanceDecision",
     "RepairLedger",
     "StabilizeReport",
-    "decide_maintenance",
-    "install_maintenance_rule",
     "make_churn_list",
 ]

@@ -211,7 +211,7 @@ class DynamicList:
         """Adopt a static list and its matching (computed if not given).
 
         ``tails`` lets a caller seed the session with a matching some
-        other engine produced (e.g. ``numpy-mp``); otherwise one is
+        other engine produced (e.g. the batch driver); otherwise one is
         computed via :func:`repro.maximal_matching` with the given
         algorithm/backend.
         """
@@ -754,8 +754,8 @@ class DynamicList:
                   backend: str = "reference", p: int = 1) -> int:
         """From-scratch matching on every component; returns bit flips.
 
-        The "recompute" arm of the maintenance policy: discard the
-        maintained bits and run the static engine per component.
+        The "recompute" maintenance strategy: discard the maintained
+        bits and run the static engine per component.
         """
         from ..core.maximal_matching import maximal_matching
 

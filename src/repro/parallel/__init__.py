@@ -1,51 +1,28 @@
-"""Multiprocess execution: sharded batches and chunked single lists.
+"""Multiprocess execution: sharded batches.
 
 The paper speaks in PRAM processors ``p``; this package is the
-host-side counterpart — real worker *processes* mapped onto the two
-decompositions the algorithms provably allow:
+host-side counterpart — real worker *processes* for the decomposition
+the batch driver allows: :mod:`~repro.parallel.executor` shards
+:func:`repro.batch_maximal_matching` across a process pool (lists are
+independent; shard by node-balanced contiguous ranges, reassemble in
+input order), and :mod:`~repro.parallel.pools` caches and
+health-checks the pools.
 
-- :mod:`~repro.parallel.executor` shards
-  :func:`repro.batch_maximal_matching` across a process pool (lists
-  are independent; shard by node-balanced contiguous ranges, reassemble
-  in input order);
-- :mod:`~repro.parallel.chunked` distributes the engine's cut-walk
-  phase for one huge list (cut segments are walk-independent by
-  Lemma 1's endpoint disjointness), which is what the ``numpy-mp``
-  backend runs.
-
-Both modes are **bit-identical** to their serial counterparts by
-construction and fall back to serial execution (with a
+Sharded results are **bit-identical** to the serial batch by
+construction, and a batch falls back to serial execution (with a
 ``parallel.fallback`` telemetry event) when the pool infrastructure
-fails.  Configuration lives in one frozen
-:class:`~repro.parallel.config.ParallelConfig`; see
-``docs/parallel.md``.
+fails; see ``docs/parallel.md``.
 """
 
 from __future__ import annotations
 
-from .config import (
-    MAX_DEFAULT_WORKERS,
-    ParallelConfig,
-    config_with_workers,
-    get_default_config,
-    set_default_config,
-    using_config,
-)
 from .pools import drop_pool, get_pool, shutdown_pools
 from .executor import run_sharded_batch, shard_bounds
-from .chunked import ParallelWalker
 
 __all__ = [
-    "MAX_DEFAULT_WORKERS",
-    "ParallelConfig",
-    "config_with_workers",
-    "get_default_config",
-    "set_default_config",
-    "using_config",
     "get_pool",
     "drop_pool",
     "shutdown_pools",
     "shard_bounds",
     "run_sharded_batch",
-    "ParallelWalker",
 ]

@@ -195,8 +195,8 @@ def run_sharded_batch(
     """Match a batch of lists across ``workers`` processes.
 
     ``kwargs`` must already be normalized (canonical names); ``backend``
-    is what each worker runs *inside* its process (``numpy-mp`` callers
-    pass ``numpy`` — a worker never nests pools).  Returns
+    is what each worker runs *inside* its process (a worker never
+    nests pools).  Returns
     ``(matchings, report)`` with matchings in **input order** — shard
     results are reassembled by shard index, never by completion order —
     or ``None`` when the pool infrastructure failed and the caller

@@ -18,13 +18,10 @@ A pool that breaks *mid-call* is still dropped by the caller via
 interpreter exit.
 
 The cache is keyed by **worker count only**, deliberately.  A pool's
-contents are config-independent — workers are blank interpreters that
-receive self-contained payloads, and per-call knobs like
-``chunk_size`` are consumed by the *parent* when it slices work, never
-by the pool.  So when the planner (or a ``using_config`` scope)
-changes worker counts mid-process, each count maps to its own cached
-pool and switching between them is safe; keying on the full config
-would only multiply identical pools per ``chunk_size`` value.
+contents are call-independent — workers are blank interpreters that
+receive self-contained payloads, and the parent slices the work — so
+when callers change worker counts mid-process, each count maps to its
+own cached pool and switching between them is safe.
 """
 
 from __future__ import annotations

@@ -210,7 +210,7 @@ def _serve(
     *,
     served_by: str,
     rung: int,
-    planner: dict[str, Any] | None = None,
+    requested_backend: str | None = None,
 ) -> ResilienceResult:
     """Stamp the winning attempt's provenance and count the rung."""
     METRICS.counter(f"resilience.served_by.{served_by}").inc()
@@ -220,8 +220,8 @@ def _serve(
         "rung": rung,
         "attempts": log.total,
     }
-    if planner is not None:
-        extras["planner"] = planner
+    if requested_backend is not None:
+        extras["requested_backend"] = requested_backend
     final = replace(res, matching=matching, extras=extras)
     return ResilienceResult(matching, log, final)
 
@@ -279,7 +279,6 @@ def resilient_matching(
     p: int = 1,
     backend: str | None = None,
     algorithm_kwargs: dict[str, dict[str, Any]] | None = None,
-    policy: Any = None,
 ) -> ResilienceResult:
     """Compute a verified maximal matching, surviving faulty attempts.
 
@@ -313,19 +312,15 @@ def resilient_matching(
         try of each rung.  Retries, and rungs whose algorithm the
         backend does not implement, fall back to ``"reference"``, so a
         backend-specific fault cannot exhaust a rung's retry budget.
-        ``"auto"`` resolves through :mod:`repro.planner` once, up
-        front, for the ladder's top rung — the recovery loop then runs
-        on the concrete backend the planner chose (recorded in the
-        result's ``extras["planner"]``); the fallback semantics above
-        are unchanged.  Default ``"reference"``.
+        ``"auto"`` resolves through :func:`~repro.backends.auto_backend`
+        once, up front, for the ladder's top rung — the recovery loop
+        then runs on that concrete backend (the result's
+        ``extras["requested_backend"]`` records ``"auto"``); the
+        fallback semantics above are unchanged.  Default
+        ``"reference"``.
     algorithm_kwargs:
         Optional per-algorithm keyword overrides, e.g.
         ``{"match4": {"iterations": 3}}``.
-    policy:
-        An :class:`~repro.planner.ExecutionPolicy` (or mapping), merged
-        with ``backend=`` via
-        :func:`~repro.planner.policy.resolve_policy` — the same unified
-        policy the other entry points take.
 
     Returns
     -------
@@ -340,23 +335,18 @@ def resilient_matching(
         ``len(ladder) * tries_per_rung`` attempts *and* defeats
         repair each time).
     """
-    from ..backends import AUTO, get_backend
+    from ..backends import AUTO, auto_backend, get_backend
     from ..core.maximal_matching import maximal_matching
-    from ..planner.policy import resolve_policy
     import repro.baselines  # noqa: F401  (registers "sequential" et al.)
 
     if not ladder:
         raise ResilienceExhaustedError("empty degradation ladder")
-    pol = resolve_policy(policy, backend=backend,
-                         defaults={"backend": "reference"})
-    backend = pol.backend
-    planner_extra: dict[str, Any] | None = None
+    if backend is None:
+        backend = "reference"
+    requested_backend: str | None = None
     if backend == AUTO:
-        from ..planner import decide_for
-
-        decision = decide_for(pol, algorithm=ladder[0], n=lst.n, p=p)
-        planner_extra = decision.to_extra()
-        backend = decision.backend
+        requested_backend = AUTO
+        backend = auto_backend(ladder[0], (lst.n,))
     requested = get_backend(backend)  # validate the name up front
     kwargs = algorithm_kwargs or {}
     log = AttemptLog()
@@ -391,7 +381,7 @@ def resilient_matching(
                            served_by=algorithm)
                     return _serve(res, Matching(lst, tails), log,
                                   served_by=algorithm, rung=rung,
-                                  planner=planner_extra)
+                                  requested_backend=requested_backend)
                 except (VerificationError, PRAMError) as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     if repair and tails is not None:
@@ -409,7 +399,7 @@ def resilient_matching(
                                    rung=rung, served_by=served)
                             return _serve(res, Matching(lst, fixed), log,
                                           served_by=served, rung=rung,
-                                          planner=planner_extra)
+                                          requested_backend=requested_backend)
                         except VerificationError:
                             pass
                     delay = _backoff_delay(failures, base_backoff, max_backoff)

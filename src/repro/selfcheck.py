@@ -252,17 +252,6 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
                 f"utilization {prof.utilization:.3f}")
 
     def check_parallel() -> str:
-        from repro.parallel import ParallelConfig, using_config
-
-        small = repro.random_list(512, rng=seed + 7)
-        ref = repro.maximal_matching(
-            small, algorithm="match4", backend="reference", iterations=2)
-        with using_config(ParallelConfig(workers=2, chunk_size=64)):
-            par = repro.maximal_matching(
-                small, algorithm="match4", backend="numpy-mp", iterations=2)
-        assert np.array_equal(par.matching.tails, ref.matching.tails), \
-            "numpy-mp tails diverge from reference"
-        assert par.report == ref.report, "numpy-mp cost report diverges"
         lists = [repro.random_list(m, rng=seed + 8 + m)
                  for m in (1, 2, 33, 127, 128)]
         serial = repro.batch_maximal_matching(lists, algorithm="match4")
@@ -271,54 +260,11 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
         for sm, pm in zip(serial.matchings, sharded.matchings):
             assert np.array_equal(sm.tails, pm.tails), \
                 "sharded batch diverged from serial"
-        return "numpy-mp == reference, sharded batch == serial"
-
-    def check_planner() -> str:
-        import os
-        import tempfile
-
-        from repro.planner import ExecutionPolicy
-        from repro.telemetry.runrecord import RunRecord, write_records
-
-        small = repro.random_list(1024, rng=seed + 9)
-        auto = repro.maximal_matching(
-            small, algorithm="match4", backend="auto", iterations=2)
-        decision = auto.extras.get("planner")
-        assert decision is not None, "auto left no planner decision"
-        explicit = repro.maximal_matching(
-            small, algorithm="match4", backend=decision["backend"],
-            iterations=2)
-        assert np.array_equal(auto.matching.tails,
-                              explicit.matching.tails), \
-            "auto diverged from its chosen backend"
-        assert auto.report == explicit.report, "auto cost report diverges"
-        assert auto.stats == explicit.stats, "auto stats diverge"
-        # history steering: a manifest where reference dominates must
-        # flip the pick, and the decision must say the history rule fired.
-        fast = repro.maximal_matching(
-            small, algorithm="match4", backend="reference", iterations=2)
-        rec = RunRecord.from_result(fast, seed=seed, wall_s=1e-4)
-        fd, path = tempfile.mkstemp(suffix=".jsonl")
-        os.close(fd)
-        try:
-            write_records(path, [rec])
-            steered = repro.maximal_matching(
-                small, algorithm="match4", backend="auto", iterations=2,
-                policy=ExecutionPolicy(history=path))
-            hist = steered.extras["planner"]
-            assert hist["rule"] == "history", \
-                f"history rule did not fire: {hist['rule']}"
-            assert steered.backend == "reference", \
-                f"history pick ignored: {steered.backend}"
-        finally:
-            os.unlink(path)
-        return (f"auto == {decision['backend']} (rule="
-                f"{decision['rule']}), history steers the pick")
+        return "sharded batch == serial"
 
     def check_dynamic() -> str:
         from repro.apps import uniform_contraction, verify_contraction
-        from repro.dynamic import ChurnConfig, ChurnSession, \
-            decide_maintenance
+        from repro.dynamic import ChurnConfig, ChurnSession
 
         cfg = ChurnConfig(steps=128, seed=seed, n_initial=min(n, 256),
                           burstiness=0.2, hotspot=0.5)
@@ -339,14 +285,9 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
             assert stats.seeded_round, "seed matching was not used"
             assert stats.uniform_rate_held, \
                 f"contraction rate broke: {stats.level_sizes}"
-        small = decide_maintenance(n=max(n, 1024), batch_size=2)
-        big = decide_maintenance(n=64, batch_size=100_000)
-        assert small.strategy == "repair", small.strategy
-        assert big.strategy == "recompute", big.strategy
         return (f"{cfg.steps} edits repaired "
                 f"(max {ledger.max_moves_per_edit} moves/edit, "
-                f"{sess.dyn.heads().size} components), "
-                f"planner splits repair/recompute")
+                f"{sess.dyn.heads().size} components)")
 
     _check(report, "matching algorithms (6) maximal", check_algorithms)
     _check(report, "instruction-level tier identical", check_instruction_tier)
@@ -361,7 +302,6 @@ def run_selfcheck(*, n: int = 2048, seed: int = 0) -> SelfCheckReport:
     _check(report, "fault injection + recovery", check_fault_recovery)
     _check(report, "telemetry round-trip", check_telemetry)
     _check(report, "profiler invariants", check_profiling)
-    _check(report, "parallel backend equivalence", check_parallel)
-    _check(report, "planner auto equivalence", check_planner)
+    _check(report, "sharded batch equivalence", check_parallel)
     _check(report, "dynamic churn + contraction", check_dynamic)
     return report

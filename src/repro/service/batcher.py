@@ -45,10 +45,7 @@ request feeds the rolling :class:`~repro.telemetry.live
 :class:`~repro.telemetry.context.TraceContext` — emits its
 ``service.request`` root span at finish time, the root the fused
 ``service.batch`` span's ``links`` attribute lets the exporter hang
-shard work under.  And with :attr:`ServiceConfig.feedback` enabled,
-sampled fused batches are attributed back into the planner's history
-(:meth:`MicroBatcher._record_feedback`), closing the
-telemetry→planner loop.
+shard work under.
 """
 
 from __future__ import annotations
@@ -62,12 +59,10 @@ from typing import Any, Callable
 
 from ..errors import ReproError
 from ..parallel.executor import POOL_ERRORS
-from ..planner.model import n_bucket
 from ..pram.cost import CostModel
 from ..telemetry.context import TraceContext, using_trace
 from ..telemetry.live import LiveAggregator, SloConfig
 from ..telemetry.metrics import METRICS
-from ..telemetry.runrecord import RunRecord, append_record
 from ..telemetry.spans import (
     Span,
     enabled as telemetry_enabled,
@@ -263,8 +258,6 @@ class MicroBatcher:
         self.engine_faults = 0
         self.degraded = 0
         self.deadline_shed = 0
-        self.feedback_records = 0
-        self._feedback_path = config.feedback_path or config.planner_history
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -495,7 +488,6 @@ class MicroBatcher:
                 self._batch_fn, lists, algorithm=algorithm, backend=backend,
                 workers=self.config.workers, p=1,
             )
-            t0 = time.perf_counter()
             try:
                 if telemetry_enabled():
                     # One fused span serves every member request: simple
@@ -565,79 +557,10 @@ class MicroBatcher:
                 await self._fallback(pairs, f"{type(exc).__name__}: {exc}")
                 return
             break
-        wall_s = time.perf_counter() - t0
         self.cost.absorb(result.report)
         for (request, entry), matching in zip(pairs, result.matchings):
             self.nodes_served += entry.workload.n
             self._fill(entry, matching, served_by=algorithm, degraded=False)
-        if self.config.feedback and \
-                self.batches % max(1, self.config.feedback_sample) == 0:
-            self._record_feedback(
-                algorithm, backend, [entry for _, entry in pairs], wall_s)
-
-    def _record_feedback(self, algorithm: str, backend: str,
-                         entries: list[Entry], wall_s: float) -> None:
-        """Close the telemetry→planner loop for one fused batch.
-
-        The batch's wall-clock is attributed back to its workloads by
-        node share, then folded per (n-bucket, layout) into one
-        observation each — the mean per-list wall in that bucket, the
-        regime (``profile="single"``, the workload's layout) the
-        planner's parse-time ``backend="auto"`` decision actually
-        looks up.  Each observation is fed live into the
-        process-default planner's model and appended (rotated) to the
-        feedback manifest so the next process starts warm.
-        """
-        from ..planner import get_default_planner
-
-        total = sum(e.workload.n for e in entries) or 1
-        groups: dict[tuple[int, str | None], list[Entry]] = {}
-        for entry in entries:
-            identity = entry.workload.identity
-            layout = identity[2] if identity[0] == "spec" else None
-            key = (n_bucket(entry.workload.n), layout)
-            groups.setdefault(key, []).append(entry)
-        planner = get_default_planner()
-        workers = (self.config.workers if backend == "numpy-mp" else None)
-        now = time.time()
-        for (bucket, layout) in sorted(groups,
-                                       key=lambda k: (k[0], k[1] or "")):
-            group = groups[(bucket, layout)]
-            share = sum(e.workload.n for e in group) / total
-            per_list_wall = wall_s * share / len(group)
-            n_rep = max(e.workload.n for e in group)
-            planner.observe_result(
-                algorithm=algorithm, backend=backend, n=n_rep,
-                wall_s=per_list_wall, workers=workers, layout=layout,
-            )
-            self.feedback_records += 1
-            METRICS.counter("service.feedback").inc()
-            if telemetry_enabled():
-                telemetry_event(
-                    "service.feedback", algorithm=algorithm,
-                    backend=backend, n=n_rep, bucket=bucket,
-                    layout=layout, wall_s=per_list_wall,
-                    lists=len(group),
-                )
-            if self._feedback_path:
-                extra: dict[str, Any] = {
-                    "source": "service-feedback",
-                    "ts": round(now, 3),
-                    "batch_lists": len(group),
-                }
-                if layout is not None:
-                    extra["layout"] = layout
-                if workers is not None:
-                    extra["workers"] = workers
-                append_record(
-                    self._feedback_path,
-                    RunRecord(
-                        kind="matching", algorithm=algorithm,
-                        backend=backend, n=n_rep, p=1, time=0, work=0,
-                        wall_s=per_list_wall, extra=extra,
-                    ),
-                    max_bytes=self.config.feedback_max_bytes,
-                )
 
     async def _fallback(self, pairs, error: str) -> None:
         """Per-request degradation: reference-tier resilience ladder."""
@@ -692,9 +615,10 @@ class MicroBatcher:
             "served_by": served_by,
             "degraded": degraded,
         }
+        if self.cache is not None and entry.cache == "miss":
+            # Cached without the request's own ask, so an "auto" and an
+            # explicit request for the same backend share the entry.
+            self.cache.put(workload.cache_key(), dict(payload))
         if workload.requested_backend is not None:
             payload["requested_backend"] = workload.requested_backend
-            payload["planner"] = dict(workload.planner or {})
         entry.payload = payload
-        if self.cache is not None and entry.cache == "miss":
-            self.cache.put(workload.cache_key(), dict(payload))

@@ -73,34 +73,6 @@ class ServiceConfig:
     compute_threads:
         Size of the thread pool the batcher dispatches compute into
         (1 serializes batches, the deterministic default).
-    planner_history:
-        ``runs.jsonl`` manifest seeding the process-default
-        :class:`repro.planner.Planner` at server start, so requests
-        with ``backend="auto"`` (or ``backend: "auto"`` as the server
-        default above) decide from measured history instead of
-        cold-start priors.  Empty string: keep whatever default
-        planner the process has (``$REPRO_PLANNER_HISTORY`` included).
-    feedback:
-        When true, the micro-batcher closes the telemetry→planner
-        loop: every ``feedback_sample``-th fused batch is attributed
-        back to its per-(algorithm, backend, n-bucket) workloads as
-        ``kind="matching"`` observation records — ingested *live*
-        into the process-default planner's model and appended to
-        ``feedback_path`` so the next process learns too.  Off by
-        default: feeding the planner is a deployment decision, not a
-        side effect.
-    feedback_sample:
-        Record every Nth batch (1 = every batch).  Sampling bounds
-        the feedback volume under sustained load.
-    feedback_path:
-        Where feedback observation records are appended.  Empty
-        string: fall back to ``planner_history`` (learn in place), or
-        record nothing when that is empty too.
-    feedback_max_bytes:
-        Size-based rotation bound for the feedback manifest: before
-        an append would push the file past this, it is rolled to
-        ``<path>.1`` (replacing any previous roll), so unattended
-        servers never grow history without bound.
     slo_p95_ms / slo_availability:
         The service-level objective the live aggregator judges
         requests against: answered 200 within ``slo_p95_ms`` is good;
@@ -135,11 +107,6 @@ class ServiceConfig:
     manifest_path: str = ""
     seed: int = 0
     compute_threads: int = 1
-    planner_history: str = ""
-    feedback: bool = False
-    feedback_sample: int = 4
-    feedback_path: str = ""
-    feedback_max_bytes: int = 4 << 20
     slo_p95_ms: float = 500.0
     slo_availability: float = 0.999
     live_window_s: float = 60.0
@@ -151,8 +118,7 @@ class ServiceConfig:
             "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
             "max_request_bytes", "retry_after_s", "base_backoff_s",
             "max_backoff_s", "drain_deadline_s", "compute_threads",
-            "feedback_sample", "feedback_max_bytes", "slo_p95_ms",
-            "live_window_s", "stream_interval_s",
+            "slo_p95_ms", "live_window_s", "stream_interval_s",
         )
         for name in positive:
             value = getattr(self, name)

@@ -196,13 +196,6 @@ class MatchingService:
 
     async def start(self) -> None:
         """Bind, start serving, and start the micro-batcher task."""
-        if self.config.planner_history:
-            # Seed the process-default planner so backend="auto"
-            # requests decide from this manifest's measured history.
-            from ..planner import Planner, set_default_planner
-
-            set_default_planner(
-                Planner(history=self.config.planner_history))
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port,
         )
@@ -470,14 +463,12 @@ class MatchingService:
                 "deadline_shed": self.batcher.deadline_shed,
                 "engine_faults": self.batcher.engine_faults,
                 "nodes_served": self.batcher.nodes_served,
-                "feedback_records": self.batcher.feedback_records,
                 "cache": self.cache.stats(),
             },
             "config": {
                 "algorithm": cfg.algorithm,
                 "backend": cfg.backend,
                 "workers": cfg.workers,
-                "feedback": cfg.feedback,
                 "slo_p95_ms": cfg.slo_p95_ms,
                 "slo_availability": cfg.slo_availability,
                 "live_window_s": cfg.live_window_s,
@@ -638,6 +629,9 @@ class MatchingService:
                 hit = self.cache.get(workload.cache_key())
                 if hit is not None:
                     entry.payload = dict(hit)
+                    if workload.requested_backend is not None:
+                        entry.payload["requested_backend"] = \
+                            workload.requested_backend
                     entry.cache = "hit"
             entries.append(entry)
 

@@ -68,13 +68,14 @@ class Workload:
     """One validated list plus the identity it is cached/recorded under.
 
     ``backend`` is always a *concrete* backend name: a request asking
-    for ``"auto"`` is resolved through :mod:`repro.planner` during
-    parsing — before admission, and in particular before the
-    micro-batcher's per-(algorithm, backend) fusion groups entries —
-    with the original ask kept in ``requested_backend`` and the full
-    decision in ``planner``.  Cache/record identity uses the resolved
-    backend, so an ``"auto"`` request and an explicit request for the
-    chosen backend share cache entries (they are the same computation).
+    for ``"auto"`` is resolved through
+    :func:`~repro.backends.auto_backend` during parsing — before
+    admission, and in particular before the micro-batcher's
+    per-(algorithm, backend) fusion groups entries — with the original
+    ask kept in ``requested_backend``.  Cache/record identity uses the
+    resolved backend, so an ``"auto"`` request and an explicit request
+    for the chosen backend share cache entries (they are the same
+    computation).
     """
 
     lst: LinkedList
@@ -82,10 +83,8 @@ class Workload:
     backend: str
     #: ``("spec", n, layout, seed)`` or ``("digest", sha256hex)``.
     identity: tuple
-    #: ``"auto"`` when the planner resolved the backend; else ``None``.
+    #: ``"auto"`` when the request asked for it; else ``None``.
     requested_backend: str | None = None
-    #: The planner decision (JSON-able), when ``requested_backend`` set.
-    planner: Mapping[str, Any] | None = None
 
     @property
     def n(self) -> int:
@@ -133,20 +132,27 @@ def _parse_explicit(next_field: Any) -> tuple[LinkedList, tuple]:
     return lst, ("digest", digest.hexdigest())
 
 
+def _field(body: Mapping[str, Any], name: str, kind: type, default: Any):
+    """``body[name]`` (or ``default``), required to be a JSON ``kind``.
+
+    JSON ``true`` decodes to a Python ``bool``, a subclass of ``int``,
+    so bools are rejected where an integer is asked for.
+    """
+    value = body.get(name, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is int else "a string"
+        raise WorkloadError(f"{name!r} must be {what}, got {value!r}")
+    return value
+
+
 def _parse_spec(body: Mapping[str, Any]) -> tuple[LinkedList, tuple]:
-    try:
-        n = int(body["n"])
-    except (TypeError, ValueError) as exc:
-        raise WorkloadError(f"'n' must be an integer: {exc}") from None
-    layout = body.get("layout", "random")
+    n = _field(body, "n", int, None)
+    layout = _field(body, "layout", str, "random")
     if layout not in LAYOUTS:
         raise WorkloadError(
             f"unknown layout {layout!r}; choose from {sorted(LAYOUTS)}"
         )
-    try:
-        seed = int(body.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise WorkloadError(f"'seed' must be an integer: {exc}") from None
+    seed = _field(body, "seed", int, 0)
     if not 1 <= n <= MAX_SPEC_N:
         raise WorkloadError(f"'n' must be in [1, {MAX_SPEC_N}], got {n}")
     try:
@@ -168,14 +174,14 @@ def parse_workload(
         raise WorkloadError(
             f"workload must be a JSON object, got {type(body).__name__}"
         )
-    algorithm = body.get("algorithm", default_algorithm)
-    backend = body.get("backend", default_backend)
+    algorithm = _field(body, "algorithm", str, default_algorithm)
+    backend = _field(body, "backend", str, default_backend)
     if algorithm not in ALGORITHMS:
         raise WorkloadError(
             f"unknown algorithm {algorithm!r}; choose from "
             f"{sorted(ALGORITHMS)}"
         )
-    from ..backends import AUTO, backend_choices
+    from ..backends import AUTO, auto_backend, backend_choices
 
     if backend not in backend_choices():
         raise WorkloadError(
@@ -192,25 +198,9 @@ def parse_workload(
             "'n' (+ optional 'layout'/'seed' spec)"
         )
     requested_backend = None
-    planner_extra = None
     if backend == AUTO:
-        from ..planner import ExecutionPolicy, decide_for
-
-        layout = identity[2] if identity[0] == "spec" else None
-        try:
-            decision = decide_for(
-                ExecutionPolicy(layout=layout),
-                algorithm=algorithm, n=int(lst.n),
-            )
-        except ReproError as exc:
-            raise WorkloadError(
-                f"planner cannot resolve backend='auto' for "
-                f"{algorithm!r}: {exc}"
-            ) from None
         requested_backend = AUTO
-        planner_extra = decision.to_extra()
-        backend = decision.backend
+        backend = auto_backend(algorithm, (lst.n,))
     return Workload(lst=lst, algorithm=algorithm, backend=backend,
                     identity=identity,
-                    requested_backend=requested_backend,
-                    planner=planner_extra)
+                    requested_backend=requested_backend)

@@ -51,7 +51,6 @@ from .runrecord import (
     RunRecord,
     append_record,
     read_records,
-    rotate_if_over,
     write_records,
 )
 from .sinks import InMemorySink, JsonlSink, LogSink, NullSink, Sink, TeeSink
@@ -111,7 +110,7 @@ __all__ = [
     "Sink", "NullSink", "InMemorySink", "JsonlSink", "LogSink", "TeeSink",
     # run records
     "SCHEMA_VERSION", "RunRecord", "append_record", "write_records",
-    "read_records", "rotate_if_over",
+    "read_records",
     # profiler
     "PhaseProfile", "ProfileReport", "ProfiledRun", "build_profile",
     "occupancy_grid", "profile_matching",

@@ -343,7 +343,6 @@ def render_dashboard(vars_doc: Mapping[str, Any], *,
         lines += [
             f"  totals    served {totals.get('served', 0)}"
             f"   batches {totals.get('batches', 0)}"
-            f"   degraded {totals.get('degraded', 0)}"
-            f"   feedback {totals.get('feedback_records', 0)}",
+            f"   degraded {totals.get('degraded', 0)}",
         ]
     return "\n".join(lines) + "\n"

@@ -81,7 +81,6 @@ __all__ = [
 BYTES_PER_WORK = {
     "reference": 16,  # int64 read + int64 write per pointer op
     "numpy": 9,       # int64 gather read + int8 label write
-    "numpy-mp": 9,    # same engine inside each worker
 }
 DEFAULT_BYTES_PER_WORK = 16
 

@@ -35,7 +35,6 @@ __all__ = [
     "append_record",
     "write_records",
     "read_records",
-    "rotate_if_over",
 ]
 
 #: Bumped on incompatible RunRecord layout changes.
@@ -183,43 +182,12 @@ class RunRecord:
                     if k != "resources")))
 
 
-def rotate_if_over(path, incoming_bytes: int, max_bytes: int) -> bool:
-    """Roll ``path`` to ``<path>.1`` when an append would overflow it.
-
-    Single-roll, size-based rotation: if the file's current size plus
-    ``incoming_bytes`` exceeds ``max_bytes``, the file is atomically
-    renamed to ``<path>.1`` (replacing any previous roll) so the
-    append starts a fresh file.  At most ``2 * max_bytes`` ever sits
-    on disk.  Returns whether a roll happened.  Rotation assumes one
-    writer per file — concurrent appenders should rotate externally.
-    """
-    p = Path(path)
-    try:
-        size = p.stat().st_size
-    except OSError:
-        return False
-    if size == 0 or size + incoming_bytes <= max_bytes:
-        return False
-    import os
-
-    os.replace(p, p.with_name(p.name + ".1"))
-    return True
-
-
-def append_record(path, record: RunRecord, *,
-                  max_bytes: int | None = None) -> Path:
-    """Append one record as a JSON line; returns the manifest path.
-
-    ``max_bytes`` bounds the manifest via :func:`rotate_if_over` —
-    the knob unattended appenders (the service's planner feedback)
-    use so history files cannot grow without bound.
-    """
+def append_record(path, record: RunRecord) -> Path:
+    """Append one record as a JSON line; returns the manifest path."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     line = json.dumps({"type": "run", **record.to_dict()},
                       default=json_default) + "\n"
-    if max_bytes is not None:
-        rotate_if_over(p, len(line.encode("utf-8")), max_bytes)
     with open(p, "a", encoding="utf-8") as fh:
         fh.write(line)
     return p
@@ -244,9 +212,9 @@ def read_records(path, *, strict: bool = False,
     Lines of other types (spans from a :class:`JsonlSink` writing to
     the same file) are skipped, so one telemetry file can hold both.
 
-    With ``rotated`` (the default), rolled generations left by
-    ``max_bytes`` rotation (``<path>.1``, ``<path>.2``, ... — higher
-    suffix = older) are read first, oldest to newest, so replay tools
+    With ``rotated`` (the default), rolled generations left by size
+    rotation (``<path>.1``, ``<path>.2``, ... — higher suffix = older;
+    see :func:`~repro.telemetry.sinks.rotated_chain`) are read first, oldest to newest, so replay tools
     see the full history instead of silently dropping everything
     before the last roll.  ``rotated=False`` reads only ``path``.
 

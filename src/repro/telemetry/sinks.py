@@ -51,8 +51,7 @@ def json_default(obj: Any):
 def rotated_chain(path) -> list[str]:
     """All generations of a rotated JSONL file, oldest first.
 
-    Size rotation (:class:`JsonlSink` ``max_bytes``,
-    :func:`~repro.telemetry.runrecord.rotate_if_over`) renames the live
+    Size rotation (:class:`JsonlSink` ``max_bytes``) renames the live
     file to ``<path>.1``; external rotators may stack deeper
     (``<path>.2`` and up, higher suffix = older, logrotate-style).
     Returns ``[<path>.N, ..., <path>.1, <path>]`` filtered to the

@@ -45,7 +45,7 @@ class TestRegistry:
         assert not get_backend("numpy").supports("match3")
 
     def test_backends_for(self):
-        assert backends_for("match1") == ["numpy", "numpy-mp", "reference"]
+        assert backends_for("match1") == ["numpy", "reference"]
         assert backends_for("match2") == ["reference"]
         assert backends_for("no_such_algorithm") == []
 
@@ -71,13 +71,13 @@ class TestDispatch:
 
     def test_algorithm_info_exposes_backends(self):
         info = repro.ALGORITHMS["match4"]
-        assert info.backends == ["numpy", "numpy-mp", "reference"]
+        assert info.backends == ["numpy", "reference"]
         assert info.optimal
         assert "iterations" in info.params
 
     def test_describe_records(self):
         recs = {r["name"]: r for r in repro.ALGORITHMS.describe()}
-        assert recs["match4"]["backends"] == ["numpy", "numpy-mp", "reference"]
+        assert recs["match4"]["backends"] == ["numpy", "reference"]
         assert recs["match4"]["optimal"]
         assert "iterations" in recs["match4"]["params"]
         assert recs["match1"]["paper_section"].startswith("§2")

@@ -41,16 +41,6 @@ class TestCommand:
         assert rc == 0
         assert "recomputes=3" in out
 
-    @pytest.mark.parametrize("batch,expect", [("4", "planner: repair"),
-                                              ("50000",
-                                               "planner: recompute")])
-    def test_auto_consults_planner(self, batch, expect, capsys):
-        rc = main(["dynamic", "--n", "64", "--steps", "20",
-                   "--maintain", "auto", "--batch", batch])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert expect in out
-
     def test_faults_and_stabilize(self, capsys):
         rc = main(["dynamic", "--n", "64", "--steps", "50",
                    "--flips", "3", "--drops", "2", "--seed", "5"])
@@ -70,13 +60,11 @@ class TestCommand:
     def test_json_output(self, tmp_path, capsys):
         path = tmp_path / "churn.json"
         rc = main(["dynamic", "--n", "32", "--steps", "25",
-                   "--maintain", "auto", "--batch", "2",
                    "--json", str(path)])
         assert rc == 0
         data = json.loads(path.read_text())
         assert data["steps_run"] == 25
         assert data["ledger"]["edits"] == 25
-        assert data["planner"]["strategy"] in {"repair", "recompute"}
         assert data["config"]["layout"] == "random"
 
     def test_numpy_backend_recompute(self, capsys):

@@ -95,12 +95,12 @@ class TestTinyLists:
 
 
 class TestShardBoundary:
-    """Corruption at the chunk seam of a numpy-mp-computed matching."""
+    """Corruption at the midpoint seam of a numpy-computed matching."""
 
     def test_boundary_corruption_repairs(self):
         lst = random_list(1 << 12, rng=7)
-        res = maximal_matching(lst, algorithm="match4", backend="numpy-mp")
-        assert res.backend == "numpy-mp"
+        res = maximal_matching(lst, algorithm="match4", backend="numpy")
+        assert res.backend == "numpy"
         boundary = lst.n // 2
         corrupted = np.concatenate([
             res.matching.tails,
@@ -111,7 +111,7 @@ class TestShardBoundary:
 
     def test_mask_flips_at_boundary(self):
         lst = random_list(1 << 10, rng=8)
-        res = maximal_matching(lst, algorithm="match4", backend="numpy-mp")
+        res = maximal_matching(lst, algorithm="match4", backend="numpy")
         mask = np.zeros(lst.n, dtype=bool)
         mask[res.matching.tails] = True
         seam = lst.n // 2

@@ -1,102 +1,49 @@
-"""ParallelWalker config resolution: live per call, not frozen at init.
+"""Parallel configuration is per call: the ``workers=`` of one batch.
 
-The planner switches worker counts mid-process (``using_config`` around
-one dispatch), so a walker built without an explicit config must see
-the config active *when it is called*.  These are regression tests for
-the construction-time snapshot bug: a default-config walker built
-outside a ``using_config`` scope used to ignore scopes entered later.
+Callers may switch worker counts between calls.  The pool cache keys on
+worker count only (:mod:`repro.parallel.pools`): each count maps to its
+own pool, and switching between them must not change any answer.
 """
 
 import numpy as np
 
 import repro
-from repro.backends import engine
-from repro.parallel import (
-    ParallelConfig,
-    ParallelWalker,
-    get_default_config,
-    set_default_config,
-    using_config,
-)
+import repro.telemetry as telemetry
+from repro.parallel import pools
 
 
-class TestCallTimeResolution:
-    def test_walker_sees_scope_entered_after_construction(self):
-        # Built under the process default (chunk_size 32768 -> serial
-        # for this list), then called inside a scope that makes
-        # dispatch worthwhile: the scope must win.
-        walker = ParallelWalker()
-        lst = repro.random_list(600, rng=11)
-        base = engine.match4(lst, iterations=2)
-        with using_config(ParallelConfig(workers=2, chunk_size=32)):
-            got = engine.match4(lst, iterations=2, _walker=walker)
-        assert walker.last_blocks == 2
-        assert np.array_equal(got[0].tails, base[0].tails)
-        assert got[1] == base[1]
-
-    def test_walker_config_tracks_scope_exit(self):
-        walker = ParallelWalker()
-        before = walker.config
-        with using_config(ParallelConfig(workers=3, chunk_size=64)):
-            assert walker.config.resolve_workers() == 3
-            assert walker.config.chunk_size == 64
-        assert walker.config == before
-
-    def test_explicit_config_stays_pinned(self):
-        pinned = ParallelConfig(workers=2, chunk_size=16)
-        walker = ParallelWalker(pinned)
-        with using_config(ParallelConfig(workers=4, chunk_size=1 << 20)):
-            assert walker.config is pinned
-            lst = repro.random_list(600, rng=12)
-            engine.match4(lst, iterations=2, _walker=walker)
-            # the pinned chunk_size (16) dispatches even though the
-            # ambient scope's (1 MiB) would have run serial.
-            assert walker.last_blocks == 2
-
-    def test_set_default_config_takes_effect_on_existing_walker(self):
-        walker = ParallelWalker()
-        original = get_default_config()
-        try:
-            set_default_config(ParallelConfig(workers=2, chunk_size=48))
-            assert walker.config.chunk_size == 48
-        finally:
-            set_default_config(original)
-        assert walker.config == original
+def _sharded(lists, workers):
+    with telemetry.capture() as sink:
+        got = repro.batch_maximal_matching(lists, algorithm="match4",
+                                           workers=workers)
+    shards = [s for s in sink.spans if s.name.startswith("shard.")]
+    assert len(shards) == workers
+    assert "parallel.fallback" not in sink.span_names()
+    return got
 
 
 class TestPoolReuseAcrossConfigs:
     def test_same_worker_count_reuses_pool_across_chunk_sizes(self):
-        # chunk_size is consumed by the parent when slicing; the pool
-        # cache keys on worker count only, so two configs differing
-        # only in chunk_size must share one executor.
-        from repro.parallel import pools
-
-        lst = repro.random_list(700, rng=13)
-        walker_a = ParallelWalker(ParallelConfig(workers=2, chunk_size=32))
-        walker_b = ParallelWalker(ParallelConfig(workers=2, chunk_size=64))
-        engine.match4(lst, iterations=2, _walker=walker_a)
+        # The parent slices each batch into node-balanced shards, so
+        # batches of different sizes cut different chunks; the pool is
+        # keyed on worker count only, so both calls share one executor.
+        small = [repro.random_list(m, rng=m) for m in (64, 96, 128, 160)]
+        large = [repro.random_list(m, rng=m) for m in (700, 900, 1100)]
+        _sharded(small, 2)
         pool_a = pools.get_pool(2)
-        engine.match4(lst, iterations=2, _walker=walker_b)
+        _sharded(large, 2)
         pool_b = pools.get_pool(2)
-        assert walker_a.last_blocks >= 2
-        assert walker_b.last_blocks >= 2
         assert pool_a is pool_b
 
     def test_planner_style_worker_switch_is_bit_identical(self):
-        # The planner wraps one dispatch in using_config with its own
-        # worker pick; back-to-back calls with different counts must
-        # agree with serial and with each other.
-        lst = repro.random_list(900, rng=14)
-        base = engine.match4(lst, iterations=2)
-        results = []
-        for workers in (2, 3, 2):
-            walker = ParallelWalker()
-            with using_config(ParallelConfig(workers=workers,
-                                             chunk_size=32)):
-                got = engine.match4(lst, iterations=2, _walker=walker)
-            assert walker.last_blocks == workers
-            results.append(got)
+        # Back-to-back calls with different worker counts must agree
+        # with serial and with each other.
+        lists = [repro.random_list(m, rng=14 + m)
+                 for m in (300, 450, 600, 900)]
+        base = repro.batch_maximal_matching(lists, algorithm="match4")
+        results = [_sharded(lists, workers) for workers in (2, 3, 2)]
         for got in results:
-            assert np.array_equal(got[0].tails, base[0].tails)
-            assert got[1] == base[1]
-            assert got[2] == base[2]
+            for g, b in zip(got.matchings, base.matchings):
+                assert np.array_equal(g.tails, b.tails)
+            assert got.stats == base.stats
+        assert results[0].report == results[2].report

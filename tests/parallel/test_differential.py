@@ -1,8 +1,8 @@
 """Seeded differential harness: every backend, serial vs parallel.
 
 The contract under test is **bit-identity**: for any supported input,
-``reference``, ``numpy``, and ``numpy-mp`` produce the same matching
-tails, the same stats, and the same Brent cost report — and the batch
+``reference`` and ``numpy`` produce the same matching tails, the same
+stats, and the same Brent cost report — and the batch
 driver returns the same per-list matchings whether it runs serially or
 sharded across worker processes.  The workload grid covers rings, runs
 (sawtooth), permuted layouts (gray/bit-reversal/random), and the
@@ -14,7 +14,6 @@ import pytest
 
 import repro
 from repro.backends.batch import batch_maximal_matching
-from repro.parallel import ParallelConfig, using_config
 
 #: (name, maker) workload generators; every maker is seeded/deterministic.
 WORKLOADS = [
@@ -32,10 +31,6 @@ WORKLOADS = [
 
 SIZES = [1, 2, 3, 7, 33, 127, 128, 129, 255, 257]
 
-#: A config that makes the chunked walker actually dispatch on the
-#: small lists above (two blocks of >= 16 nodes each).
-SMALL_CHUNKS = dict(chunk_size=16)
-
 
 @pytest.mark.parametrize("workload", [w[0] for w in WORKLOADS])
 @pytest.mark.parametrize("algorithm,kwargs", [
@@ -50,16 +45,11 @@ def test_single_list_backends_bit_identical(workload, algorithm, kwargs):
             lst, algorithm=algorithm, backend="reference", **kwargs)
         vec = repro.maximal_matching(
             lst, algorithm=algorithm, backend="numpy", **kwargs)
-        with using_config(ParallelConfig(workers=2, **SMALL_CHUNKS)):
-            par = repro.maximal_matching(
-                lst, algorithm=algorithm, backend="numpy-mp", **kwargs)
-        for other in (vec, par):
-            assert np.array_equal(other.matching.tails, ref.matching.tails), \
-                f"{workload} n={n}: tails diverge"
-            assert other.report == ref.report, \
-                f"{workload} n={n}: cost report diverges"
-            assert other.stats == ref.stats, \
-                f"{workload} n={n}: stats diverge"
+        assert np.array_equal(vec.matching.tails, ref.matching.tails), \
+            f"{workload} n={n}: tails diverge"
+        assert vec.report == ref.report, \
+            f"{workload} n={n}: cost report diverges"
+        assert vec.stats == ref.stats, f"{workload} n={n}: stats diverge"
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -116,14 +106,3 @@ def test_empty_batch():
         assert result.stats.num_lists == 0
 
 
-def test_numpy_mp_batch_backend():
-    # backend="numpy-mp" on the batch driver shards per the default
-    # config and still matches the serial numpy arena bit-for-bit.
-    lists = [repro.random_list(n, rng=n) for n in SIZES]
-    serial = batch_maximal_matching(lists, algorithm="match4")
-    with using_config(ParallelConfig(workers=2)):
-        sharded = batch_maximal_matching(
-            lists, algorithm="match4", backend="numpy-mp")
-    assert sharded.backend == "numpy-mp"
-    for sm, pm in zip(serial.matchings, sharded.matchings):
-        assert np.array_equal(sm.tails, pm.tails)

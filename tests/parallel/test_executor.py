@@ -1,4 +1,4 @@
-"""Executor mechanics: sharding, validation, env config, fallback."""
+"""Executor mechanics: sharding, validation, fallback."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,7 @@ import repro
 import repro.telemetry as telemetry
 from repro.backends.batch import batch_maximal_matching
 from repro.errors import InvalidParameterError
-from repro.parallel import (
-    ParallelConfig,
-    config_with_workers,
-    run_sharded_batch,
-    shard_bounds,
-    using_config,
-)
-from repro.parallel.config import WORKERS_ENV
+from repro.parallel import run_sharded_batch, shard_bounds
 
 
 class TestShardBounds:
@@ -45,50 +38,16 @@ class TestShardBounds:
 class TestConfigValidation:
     @pytest.mark.parametrize("workers", [0, -1, -7])
     def test_workers_below_one_rejected_config_time(self, workers):
-        with pytest.raises(ValueError):
-            ParallelConfig(workers=workers)
-        # ... and through the batch driver, even on an empty batch:
-        # validation happens before any pool or shard exists.
+        # Validation happens before any pool or shard exists, even on
+        # an empty batch.
         with pytest.raises(ValueError):
             batch_maximal_matching([], workers=workers)
 
     def test_non_int_workers_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ParallelConfig(workers=2.5)
+            batch_maximal_matching([], workers=2.5)
         with pytest.raises(InvalidParameterError):
-            ParallelConfig(workers=True)
-
-    def test_chunk_size_validated(self):
-        with pytest.raises(InvalidParameterError):
-            ParallelConfig(chunk_size=0)
-
-    def test_config_with_workers(self):
-        cfg = config_with_workers(3, ParallelConfig(chunk_size=99))
-        assert cfg.workers == 3 and cfg.chunk_size == 99
-        base = ParallelConfig(workers=5)
-        assert config_with_workers(None, base) is base
-        with pytest.raises(ValueError):
-            config_with_workers(0)
-
-
-class TestWorkersEnv:
-    def test_env_inherited(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert ParallelConfig().resolve_workers() == 3
-
-    def test_explicit_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert ParallelConfig(workers=1).resolve_workers() == 1
-
-    @pytest.mark.parametrize("bad", ["zero", "2.5", "-1", "0"])
-    def test_garbage_env_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(WORKERS_ENV, bad)
-        with pytest.raises(InvalidParameterError):
-            ParallelConfig().resolve_workers()
-
-    def test_unset_env_gives_cpu_default(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert ParallelConfig().resolve_workers() >= 1
+            batch_maximal_matching([], workers=True)
 
 
 class TestInputOrder:
@@ -131,26 +90,6 @@ class TestFallback:
         assert "parallel.fallback" in sink.span_names()
         assert telemetry.METRICS.counter("parallel.fallback").value >= 1
 
-    def test_chunked_walker_falls_back_to_serial(self, monkeypatch):
-        from concurrent.futures import BrokenExecutor
-
-        import repro.parallel.pools as pools
-
-        def explode(workers):
-            raise BrokenExecutor("worker died in testing")
-
-        monkeypatch.setattr(pools, "get_pool", explode)
-        lst = repro.random_list(400, rng=9)
-        ref = repro.maximal_matching(lst, algorithm="match4",
-                                     backend="numpy")
-        with using_config(ParallelConfig(workers=2, chunk_size=16)):
-            with telemetry.capture() as sink:
-                got = repro.maximal_matching(lst, algorithm="match4",
-                                             backend="numpy-mp")
-        assert np.array_equal(got.matching.tails, ref.matching.tails)
-        assert got.report == ref.report
-        assert "parallel.fallback" in sink.span_names()
-
     def test_algorithm_errors_propagate(self):
         # An invalid parameter is the caller's bug, not pool trouble:
         # no silent serial retry.
@@ -161,7 +100,7 @@ class TestFallback:
 
 
 class TestResilienceLadder:
-    def test_numpy_mp_rung_degrades_to_reference(self):
+    def test_numpy_rung_degrades_to_reference(self):
         from repro.resilience import resilient_matching
 
         lst = repro.random_list(256, rng=4)
@@ -172,12 +111,12 @@ class TestResilienceLadder:
             return tails[1:] if i == 0 else tails
 
         result = resilient_matching(
-            lst, backend="numpy-mp", perturb=sabotage, repair=False,
+            lst, backend="numpy", perturb=sabotage, repair=False,
             tries_per_rung=2)
         assert result.matching.size > 0
         assert len(calls) >= 2
         attempts = result.log.attempts
-        assert attempts[0].backend == "numpy-mp"
+        assert attempts[0].backend == "numpy"
         # retries fall back to the reference backend by ladder policy
         assert attempts[-1].backend == "reference"
         assert attempts[-1].outcome == "ok"

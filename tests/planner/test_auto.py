@@ -1,11 +1,17 @@
-"""backend="auto" differential tests: bit-identical, fully accounted."""
+"""backend="auto" at each entry point: bit-identical, fully accounted.
+
+The backend is planned by one fixed rule,
+:func:`repro.backends.auto_backend`; these tests check that every
+entry point resolves ``"auto"`` through it, answers exactly as the
+named backend does, and records both the concrete backend and the ask.
+"""
 
 import numpy as np
 import pytest
 
 import repro
-from repro.planner import ExecutionPolicy, Planner, using_planner
-from repro.telemetry.runrecord import RunRecord, write_records
+from repro.backends import AUTO, auto_backend
+from repro.telemetry.runrecord import RunRecord
 
 
 def _identical(a, b):
@@ -17,157 +23,67 @@ def _identical(a, b):
 class TestSingleAuto:
     @pytest.mark.parametrize("n", [64, 1024, 4096])
     def test_bit_identical_to_chosen_backend(self, n):
+        # Algorithm kwargs pass through the resolution unchanged.
         lst = repro.random_list(n, rng=n)
         auto = repro.maximal_matching(lst, algorithm="match4",
-                                      backend="auto", iterations=2)
-        decision = auto.extras["planner"]
+                                      backend=AUTO, iterations=2)
+        chosen = auto_backend("match4", [n])
         explicit = repro.maximal_matching(
-            lst, algorithm="match4", backend=decision["backend"],
-            iterations=2)
-        assert auto.backend == decision["backend"]
+            lst, algorithm="match4", backend=chosen, iterations=2)
+        assert auto.backend == chosen
         _identical(auto, explicit)
 
     def test_decision_extras_shape(self):
         lst = repro.random_list(512, rng=1)
-        auto = repro.maximal_matching(lst, backend="auto")
-        decision = auto.extras["planner"]
-        assert decision["rule"] in ("history", "prior")
-        assert decision["source"] in ("history", "prior")
-        assert decision["mode"] == "rules"
-        assert decision["raced"] is False
-        assert decision["context"]["algorithm"] == "match4"
-        assert decision["context"]["n"] == 512
-        assert len(decision["candidates"]) >= 2
+        auto = repro.maximal_matching(lst, backend=AUTO)
+        assert auto.backend == "numpy"
+        assert auto.extras == {"requested_backend": AUTO}
 
     def test_explicit_backend_leaves_no_planner_extra(self):
         lst = repro.random_list(256, rng=2)
         got = repro.maximal_matching(lst, backend="numpy")
-        assert "planner" not in got.extras
-
-    def test_history_steers_the_pick(self, tmp_path):
-        lst = repro.random_list(4096, rng=3)
-        fast = repro.maximal_matching(lst, backend="reference")
-        slow = repro.maximal_matching(lst, backend="numpy")
-        path = tmp_path / "runs.jsonl"
-        write_records(path, [
-            RunRecord.from_result(fast, wall_s=1e-4),
-            RunRecord.from_result(slow, wall_s=0.5),
-        ])
-        auto = repro.maximal_matching(
-            lst, backend="auto",
-            policy=ExecutionPolicy(history=str(path)))
-        assert auto.backend == "reference"
-        assert auto.extras["planner"]["rule"] == "history"
-        _identical(auto, fast)
-
-    def test_policy_alone_can_request_auto(self):
-        lst = repro.random_list(512, rng=4)
-        auto = repro.maximal_matching(
-            lst, policy=ExecutionPolicy(backend="auto"))
-        assert auto.backend in ("reference", "numpy", "numpy-mp")
-        assert "planner" in auto.extras
-
-    def test_using_planner_scopes_the_default(self):
-        lst = repro.random_list(4096, rng=5)
-        model_planner = Planner()
-        model_planner.model.observe(
-            algorithm="match4", backend="reference", n=4096, wall_s=1e-6)
-        with using_planner(model_planner):
-            auto = repro.maximal_matching(lst, backend="auto")
-        assert auto.backend == "reference"
-        assert auto.extras["planner"]["source"] == "history"
+        assert got.extras == {}
 
     def test_runrecord_carries_the_decision(self):
         lst = repro.random_list(512, rng=6)
-        auto = repro.maximal_matching(lst, backend="auto")
-        rec = RunRecord.from_result(
-            auto, wall_s=0.001, planner=auto.extras["planner"])
+        auto = repro.maximal_matching(lst, backend=AUTO)
+        explicit = repro.maximal_matching(lst, backend=auto.backend)
+        rec = RunRecord.from_result(auto, wall_s=0.001)
         assert rec.backend == auto.backend  # concrete, not "auto"
-        assert rec.extra["planner"]["rule"] == \
-            auto.extras["planner"]["rule"]
+        assert rec.key() == RunRecord.from_result(explicit).key()
 
 
 class TestBatchAuto:
     def test_bit_identical_and_accounted(self):
         lists = [repro.random_list(m, rng=10 + m) for m in (64, 257, 512)]
         auto = repro.batch_maximal_matching(lists, algorithm="match4",
-                                            backend="auto")
-        decision = auto.extras["planner"]
-        assert decision["context"]["profile"] == "batch"
-        assert decision["context"]["num_lists"] == 3
+                                            backend=AUTO)
+        assert auto.backend == "numpy"
+        assert auto.extras["requested_backend"] == AUTO
         explicit = repro.batch_maximal_matching(
-            lists, algorithm="match4", backend=decision["backend"])
+            lists, algorithm="match4", backend=auto.backend)
         for am, em in zip(auto.matchings, explicit.matchings):
             assert np.array_equal(am.tails, em.tails)
         assert auto.report == explicit.report
-
-    def test_batch_history_uses_batch_profile(self, tmp_path):
-        lists = [repro.random_list(512, rng=20 + s) for s in range(3)]
-        base = repro.maximal_matching(lists[0], backend="reference")
-        path = tmp_path / "runs.jsonl"
-        write_records(path, [
-            # single-profile record: must NOT steer the batch decision
-            RunRecord.from_result(base, wall_s=1e-6),
-        ])
-        auto = repro.batch_maximal_matching(
-            lists, backend="auto",
-            policy=ExecutionPolicy(history=str(path)))
-        assert auto.extras["planner"]["source"] == "prior"
 
 
 class TestResilientAuto:
     def test_decision_in_extras(self):
         lst = repro.random_list(512, rng=30)
-        got = repro.resilient_matching(lst, backend="auto")
+        got = repro.resilient_matching(lst, backend=AUTO)
         assert got.result is not None
-        decision = got.result.extras["planner"]
-        assert decision["backend"] in ("reference", "numpy", "numpy-mp")
+        assert got.result.backend == "numpy"
+        assert got.result.extras["requested_backend"] == AUTO
         assert got.result.extras["served_by"] == "match4"
 
     def test_matches_explicit_run(self):
         lst = repro.random_list(512, rng=31)
-        auto = repro.resilient_matching(lst, backend="auto")
-        backend = auto.result.extras["planner"]["backend"]
-        explicit = repro.resilient_matching(lst, backend=backend)
+        auto = repro.resilient_matching(lst, backend=AUTO)
+        explicit = repro.resilient_matching(lst, backend=auto.result.backend)
         assert np.array_equal(auto.matching.tails,
                               explicit.matching.tails)
-
-    def test_history_steers(self, tmp_path):
-        lst = repro.random_list(4096, rng=32)
-        ref = repro.maximal_matching(lst, backend="reference")
-        path = tmp_path / "runs.jsonl"
-        write_records(path, [RunRecord.from_result(ref, wall_s=1e-6)])
-        got = repro.resilient_matching(
-            lst, backend="auto",
-            policy=ExecutionPolicy(history=str(path)))
-        assert got.result.extras["planner"]["backend"] == "reference"
-
-
-class TestRobustHistory:
-    def test_corrupted_history_falls_back_to_priors(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        path.write_text("this is not json\n{nor: this}\n")
-        lst = repro.random_list(1024, rng=40)
-        with pytest.warns(RuntimeWarning):
-            auto = repro.maximal_matching(
-                lst, backend="auto",
-                policy=ExecutionPolicy(history=str(path)))
-        assert auto.extras["planner"]["source"] == "prior"
-
-    def test_missing_history_falls_back_to_priors(self, tmp_path):
-        lst = repro.random_list(1024, rng=41)
-        auto = repro.maximal_matching(
-            lst, backend="auto",
-            policy=ExecutionPolicy(history=str(tmp_path / "absent.jsonl")))
-        assert auto.extras["planner"]["source"] == "prior"
-
-    def test_empty_history_falls_back_to_priors(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        path.write_text("")
-        lst = repro.random_list(1024, rng=42)
-        auto = repro.maximal_matching(
-            lst, backend="auto", policy=ExecutionPolicy(history=str(path)))
-        assert auto.extras["planner"]["source"] == "prior"
+        assert auto.result.report == explicit.result.report
+        assert auto.log.attempts[0].backend == "numpy"
 
 
 class TestTelemetry:
@@ -176,16 +92,20 @@ class TestTelemetry:
 
         lst = repro.random_list(512, rng=50)
         with capture() as sink:
-            repro.maximal_matching(lst, backend="auto")
-        events = [s for s in sink.spans
-                  if s.name == "planner.decision"]
-        assert events, "no planner.decision event captured"
-        attrs = events[0].attributes
-        assert attrs["backend"] in ("reference", "numpy", "numpy-mp")
-        assert attrs["rule"] in ("history", "prior")
-        assert METRICS.counter("planner.decisions").value >= 1
+            repro.maximal_matching(lst, backend=AUTO)
+            runs = METRICS.counter("matching.runs").value
+        (span,) = [s for s in sink.spans if s.name == "maximal_matching"]
+        assert span.attributes["backend"] == "numpy"
+        assert span.attributes["requested_backend"] == AUTO
+        assert runs >= 1
 
     def test_disabled_telemetry_emits_nothing(self):
+        from repro.telemetry import METRICS, enabled
+
+        assert not enabled()
+        before = METRICS.counter("matching.runs").value
         lst = repro.random_list(256, rng=51)
-        auto = repro.maximal_matching(lst, backend="auto")
-        assert "planner" in auto.extras  # decision still accounted
+        auto = repro.maximal_matching(lst, backend=AUTO)
+        assert METRICS.counter("matching.runs").value == before
+        # the ask is still accounted on the result itself
+        assert auto.extras["requested_backend"] == AUTO

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.planner import Planner, using_planner
+from repro.backends import AUTO, auto_backend
 from repro.service.workload import WorkloadError, parse_workload
 
 PARSE = dict(default_algorithm="match4", default_backend="numpy")
@@ -11,14 +11,12 @@ PARSE = dict(default_algorithm="match4", default_backend="numpy")
 class TestParseTimeResolution:
     def test_auto_resolves_to_concrete_backend(self):
         w = parse_workload({"n": 512, "backend": "auto"}, **PARSE)
-        assert w.backend in ("reference", "numpy", "numpy-mp")
-        assert w.requested_backend == "auto"
-        assert w.planner is not None
-        assert w.planner["backend"] == w.backend
+        assert w.backend == auto_backend("match4", [512]) == "numpy"
+        assert w.requested_backend == AUTO
 
     def test_explicit_backend_has_no_planner_fields(self):
         w = parse_workload({"n": 512, "backend": "numpy"}, **PARSE)
-        assert w.requested_backend is None and w.planner is None
+        assert w.requested_backend is None
 
     def test_auto_shares_cache_identity_with_explicit(self):
         auto = parse_workload({"n": 512, "seed": 7, "backend": "auto"},
@@ -27,25 +25,13 @@ class TestParseTimeResolution:
             {"n": 512, "seed": 7, "backend": auto.backend}, **PARSE)
         assert auto.cache_key() == explicit.cache_key()
 
-    def test_layout_spec_feeds_the_planner_context(self):
-        w = parse_workload({"n": 512, "layout": "sawtooth",
-                            "backend": "auto"}, **PARSE)
-        assert w.planner["context"]["layout"] == "sawtooth"
-
-    def test_history_steers_service_requests(self):
-        steering = Planner()
-        steering.model.observe(algorithm="match4", backend="reference",
-                               n=512, wall_s=1e-6, layout="random")
-        with using_planner(steering):
-            w = parse_workload({"n": 512, "backend": "auto"}, **PARSE)
-        assert w.backend == "reference"
-        assert w.planner["source"] == "history"
-
     def test_default_backend_auto(self):
         w = parse_workload({"n": 512}, default_algorithm="match4",
                            default_backend="auto")
-        assert w.requested_backend == "auto"
-        assert w.backend != "auto"
+        assert (w.backend, w.requested_backend) == ("numpy", AUTO)
+        w = parse_workload({"n": 512, "algorithm": "match2"},
+                           default_algorithm="match4", default_backend="auto")
+        assert (w.backend, w.requested_backend) == ("reference", AUTO)
 
     def test_unknown_backend_still_rejected(self):
         with pytest.raises(WorkloadError, match="backend"):
@@ -69,44 +55,3 @@ class TestParseTimeResolution:
         rec = w.record(seed=0)
         assert rec.backend == w.backend
         assert rec.backend != "auto"
-
-
-class TestServerSeeding:
-    def test_planner_history_seeds_server_and_answers_auto(self, tmp_path):
-        import asyncio
-
-        import repro
-        from repro.planner import get_default_planner
-        from repro.service import MatchingService, ServiceConfig
-        from repro.service.client import post_json
-        from repro.telemetry.runrecord import RunRecord, write_records
-
-        lst = repro.random_list(512, rng=0)
-        ref = repro.maximal_matching(lst, backend="reference")
-        path = tmp_path / "runs.jsonl"
-        write_records(path, [
-            RunRecord.from_result(ref, wall_s=1e-6, layout="random"),
-        ])
-        config = ServiceConfig(port=0, planner_history=str(path))
-
-        async def main():
-            service = MatchingService(config)
-            await service.start()
-            try:
-                planner = get_default_planner()
-                assert planner.history_path == str(path)
-                stats, _ = planner.model.lookup(algorithm="match4",
-                                                n=512)
-                assert stats, "manifest was not ingested at start"
-                return await post_json(
-                    "127.0.0.1", service.port, "/v1/match",
-                    {"n": 512, "seed": 0, "backend": "auto"})
-            finally:
-                await service.drain(reason="test-teardown")
-
-        response = asyncio.run(main())
-        assert response.status == 200
-        payload = response.json()
-        assert payload["backend"] == "reference"  # history's pick
-        assert payload["requested_backend"] == "auto"
-        assert payload["planner"]["source"] == "history"

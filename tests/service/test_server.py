@@ -118,6 +118,23 @@ class TestValidation:
     def test_bad_deadline_400(self):
         assert self._post({"n": 64, "deadline_ms": "soon"}).status == 400
 
+    def test_malformed_batch_entry_400_not_500(self):
+        from repro.telemetry.metrics import METRICS
+
+        async def scenario(service):
+            return [
+                await post_json(HOST, service.port, "/v1/batch",
+                                {"lists": [{"n": 8}, entry]})
+                for entry in ({"n": 8, "algorithm": ["match4"]},
+                              {"n": 8, "layout": {"x": 1}})
+            ]
+
+        errors = METRICS.counter("service.errors").value
+        responses = run_service(ServiceConfig(**CFG), scenario)
+        assert [r.status for r in responses] == [400, 400]
+        assert "must be a string" in responses[0].json()["error"]
+        assert METRICS.counter("service.errors").value == errors
+
     def test_empty_batch_400(self):
         async def scenario(service):
             return await post_json(HOST, service.port, "/v1/batch",

@@ -230,61 +230,3 @@ class TestDebugSurface:
 
         resp = run_service(ServiceConfig(**CFG), scenario)
         assert resp.status == 400
-
-
-class TestFeedbackLoop:
-    def test_feedback_records_written_and_cited(self, tmp_path):
-        from repro.planner import PlanContext, Planner
-        from repro.telemetry import read_records
-
-        path = tmp_path / "feedback.jsonl"
-        cfg = dict(CFG, feedback=True, feedback_sample=1,
-                   feedback_path=str(path))
-
-        async def scenario(service):
-            # n large enough that measured history beats the reference
-            # tier's cold-start prior (at small n reference genuinely
-            # wins and the planner rightly keeps citing the prior).
-            for s in range(3):
-                await match(service, {"n": 4096, "seed": s, "cache": False})
-            return service.batcher.feedback_records
-
-        wrote = run_service(ServiceConfig(**cfg), scenario)
-        assert wrote > 0
-        records = read_records(path)
-        assert records
-        for r in records:
-            assert r.extra["source"] == "service-feedback"
-            assert r.extra["ts"] > 0
-            assert r.wall_s > 0
-
-        planner = Planner(history=path)
-        rec = records[0]
-        decision = planner.decide(PlanContext(
-            algorithm=rec.algorithm, n=rec.n,
-            layout=rec.extra.get("layout"), model=planner.model))
-        assert decision.rule == "history"
-
-    def test_feedback_off_by_default(self, tmp_path):
-        path = tmp_path / "feedback.jsonl"
-        cfg = dict(CFG, feedback_path=str(path))
-
-        async def scenario(service):
-            await match(service, {"n": 64, "seed": 0})
-            return service.batcher.feedback_records
-
-        assert run_service(ServiceConfig(**cfg), scenario) == 0
-        assert not path.exists()
-
-    def test_feedback_sampling(self, tmp_path):
-        path = tmp_path / "feedback.jsonl"
-        cfg = dict(CFG, feedback=True, feedback_sample=2,
-                   feedback_path=str(path))
-
-        async def scenario(service):
-            for s in range(4):
-                await match(service, {"n": 64, "seed": s, "cache": False})
-            return service.batcher.batches, service.batcher.feedback_records
-
-        batches, wrote = run_service(ServiceConfig(**cfg), scenario)
-        assert wrote <= (batches // 2) + 1

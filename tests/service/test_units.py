@@ -19,6 +19,9 @@ from repro.service import (
 
 PARSE = dict(default_algorithm="match4", default_backend="numpy")
 
+#: The multiprocess backend an earlier release served; it is gone.
+REMOVED_BACKEND = "numpy" + "-mp"
+
 
 class TestConfig:
     def test_defaults_validate(self):
@@ -74,10 +77,24 @@ class TestWorkload:
         ({"next": []}, "non-empty"),
         ({"next": [0, 0, 1]}, "invalid linked list"),
         ("not a dict", "JSON object"),
+        ({"algorithm": ["match4"], "n": 8}, "'algorithm' must be a string"),
+        ({"n": 8, "layout": {"x": 1}}, "'layout' must be a string"),
+        ({"n": 8, "backend": ["numpy"]}, "'backend' must be a string"),
+        ({"n": 8.7}, "'n' must be an integer"),
+        ({"n": True}, "'n' must be an integer"),
+        ({"n": "8"}, "'n' must be an integer"),
+        ({"n": 8, "seed": 1.5}, "'seed' must be an integer"),
+        ({"n": 8, "seed": False}, "'seed' must be an integer"),
+        ({"n": 64, "backend": REMOVED_BACKEND}, "unknown backend"),
     ])
     def test_malformed_rejected(self, body, msg):
         with pytest.raises(WorkloadError):
             parse_workload(body, **PARSE)
+
+    def test_unknown_backend_lists_the_remaining(self):
+        with pytest.raises(WorkloadError) as exc:
+            parse_workload({"n": 64, "backend": REMOVED_BACKEND}, **PARSE)
+        assert "['auto', 'numpy', 'reference']" in str(exc.value)
 
 
 class TestResponseCache:

@@ -204,8 +204,7 @@ class TestRendering:
         doc = {"live": agg.snapshot(), "uptime_s": 12.0,
                "service": {"queue_depth": 0, "inflight_bytes": 0,
                            "draining": False},
-               "totals": {"served": 1, "batches": 1, "degraded": 0,
-                          "feedback_records": 0}}
+               "totals": {"served": 1, "batches": 1, "degraded": 0}}
         out = render_dashboard(doc, title="test top")
         assert "test top" in out
         assert "p50" in out and "burn" in out

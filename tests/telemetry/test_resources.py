@@ -151,7 +151,6 @@ class TestBytesTouchedModel:
     def test_backend_figures(self):
         assert resources.bytes_per_work("reference") == 16
         assert resources.bytes_per_work("numpy") == 9
-        assert resources.bytes_per_work("numpy-mp") == 9
         assert resources.bytes_per_work("unknown") == 16
         assert resources.bytes_per_work(None) == 16
 
