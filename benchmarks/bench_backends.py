@@ -100,8 +100,8 @@ def main(argv=None) -> int:
                         help="fail unless match4's speedup meets this bar")
     parser.add_argument("--profile", default="", metavar="DIR",
                         help="also profile one match4/numpy run at this n "
-                             "(Perfetto trace, profile JSON, metrics, "
-                             "RunRecord) into DIR")
+                             "(Perfetto trace, profile JSON, RunRecord) "
+                             "into DIR")
     args = parser.parse_args(argv)
 
     # Honor REPRO_RESOURCES like the CLI does, so the CI disabled-vs-

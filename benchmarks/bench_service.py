@@ -28,9 +28,8 @@ SIGTERM it, and check the drain manifest)::
 Observability extensions (all ``--spawn``-only):
 
 - ``--debug-probe`` — while the server is still up, fetch
-  ``/debug/vars`` and one SSE frame from ``/debug/stream`` and check
-  the server's rolling-window rates and SLO burn against what this
-  client measured;
+  ``/debug/vars`` and check the server's rolling-window rates and SLO
+  burn against what this client measured;
 - ``--server-telemetry PATH`` — run the server under a JSONL span
   sink (the raw material for trace reconstruction);
 - ``--trace-json PATH`` — after the run, reconstruct the first
@@ -202,18 +201,12 @@ def spawn_server(args, manifest: Path) -> tuple[subprocess.Popen, int]:
 
 
 def probe_debug(host: str, port: int) -> dict:
-    """Hit ``/debug/vars`` + one SSE frame while the server is up."""
-    from repro.service.client import fetch_json, fetch_sse
+    """Hit ``/debug/vars`` while the server is up."""
+    from repro.service.client import fetch_json
 
-    base = f"http://{host}:{port}"
-    status, vars_doc = fetch_json(base + "/debug/vars")
+    status, vars_doc = fetch_json(f"http://{host}:{port}/debug/vars")
     if status != 200 or not isinstance(vars_doc, dict):
         raise AssertionError(f"/debug/vars probe failed: status {status}")
-    sse_status, frames = fetch_sse(base + "/debug/stream?frames=1",
-                                   max_frames=1)
-    if sse_status != 200 or not frames:
-        raise AssertionError(
-            f"/debug/stream yielded no SSE frames (status {sse_status})")
     live = vars_doc["live"]
     return {
         "count": live["count"],
@@ -221,8 +214,6 @@ def probe_debug(host: str, port: int) -> dict:
         "rates": live["rates"],
         "slo": live["slo"],
         "served": vars_doc["totals"]["served"],
-        "sse_frames": len(frames),
-        "sse_count": frames[0]["live"]["count"],
     }
 
 
@@ -346,8 +337,8 @@ def main(argv=None) -> int:
     parser.add_argument("--max-shed-rate", type=float, default=1.0,
                         help="fail beyond this 429/503 rate (default: off)")
     parser.add_argument("--debug-probe", action="store_true",
-                        help="--spawn: probe /debug/vars + one SSE frame "
-                             "and cross-check the live rates")
+                        help="--spawn: probe /debug/vars and cross-check "
+                             "the live rates")
     parser.add_argument("--server-telemetry", default="",
                         help="--spawn: run the server with a JSONL span "
                              "sink at this path")

@@ -21,8 +21,7 @@ Gives the library a shell-usable face:
   ``docs/dynamic.md``).
 - ``profile`` — one-shot profiler: run an algorithm under telemetry
   capture (plus an instruction-level machine twin), write a Perfetto
-  trace, a ProfileReport JSON, a Prometheus exposition, and a
-  RunRecord manifest.
+  trace, a ProfileReport JSON, and a RunRecord manifest.
 - ``report`` — render RunRecord JSONL manifests into a self-contained
   static HTML dashboard (no external resources).
 - ``fig1``   — render the paper's Fig. 1 (or any small list) as an
@@ -34,10 +33,6 @@ Gives the library a shell-usable face:
 - ``serve`` — the matching-as-a-service HTTP server: bounded
   admission, micro-batching, deadlines, response cache, graceful
   drain (see ``docs/service.md``).
-- ``top``    — live terminal dashboard for a running server (polls
-  ``/debug/vars``) or an offline replay of a span JSONL
-  (``--replay``): rolling latency quantiles, shed/error rates, SLO
-  error-budget burn.
 
 Everything prints deterministic output for a fixed ``--seed``.
 """
@@ -347,7 +342,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profile_matching,
         resource_counter_events,
         write_chrome_trace,
-        write_prometheus,
     )
     from .telemetry.sinks import json_default
     import repro.baselines  # noqa: F401  (registers baselines)
@@ -390,15 +384,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profile_path.write_text(
         json.dumps(profile.to_dict(), indent=2, default=json_default) + "\n",
         encoding="utf-8")
-    prom_path = write_prometheus(out / "metrics.prom")
     extra = {}
     if run.resources is not None:
         extra["resources"] = run.resources.to_dict()
-        memory_path = out / "memory-profile.json"
-        memory_path.write_text(
-            json.dumps(extra["resources"], indent=2,
-                       default=json_default) + "\n",
-            encoding="utf-8")
     record = RunRecord.from_result(
         run.result, seed=args.seed, wall_s=profile.wall_s,
         layout=args.layout,
@@ -409,10 +397,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     manifest_path = append_record(out / "runs.jsonl", record)
     print("written   :")
-    written = [trace_path, profile_path, prom_path, manifest_path]
-    if run.resources is not None:
-        written.insert(3, memory_path)
-    for p in written:
+    for p in (trace_path, profile_path, manifest_path):
         print(f"  {p}")
     return 0
 
@@ -541,57 +526,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_after_s=args.retry_after_s,
         manifest_path=args.record,
         seed=args.seed,
-        slo_p95_ms=args.slo_p95_ms,
-        slo_availability=args.slo_availability,
-        live_window_s=args.live_window_s,
     )
     return MatchingService(config).run()
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    """Terminal dashboard over a live server or a recorded JSONL file."""
-    import json as _json
-    import time as _time
-
-    from .telemetry.live import render_dashboard, replay_jsonl
-
-    if args.replay:
-        live = replay_jsonl(args.replay)
-        print(render_dashboard({"live": live},
-                               title=f"repro top — replay {args.replay}"),
-              end="")
-        return 0
-
-    from .service.client import fetch_json
-
-    def fetch() -> dict:
-        status, doc = fetch_json(args.url.rstrip("/") + "/debug/vars")
-        if status != 200 or not isinstance(doc, dict):
-            raise ConnectionError(f"/debug/vars answered {status}")
-        return doc
-
-    if args.once:
-        print(render_dashboard(fetch(), title=f"repro top — {args.url}"),
-              end="")
-        return 0
-    try:
-        while True:
-            try:
-                doc = fetch()
-            except (ConnectionError, OSError, ValueError,
-                    _json.JSONDecodeError) as exc:
-                print(f"repro top: {exc}", file=sys.stderr)
-                return 1
-            # ANSI clear-screen + home: a stdlib-only poll loop.
-            print("\x1b[2J\x1b[H"
-                  + render_dashboard(doc, title=f"repro top — {args.url}"),
-                  end="", flush=True)
-            if doc.get("service", {}).get("draining"):
-                print("server draining; exiting")
-                return 0
-            _time.sleep(args.interval)
-    except KeyboardInterrupt:
-        return 0
 
 
 def _cmd_fig1(args: argparse.Namespace) -> int:
@@ -746,7 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf = sub.add_parser(
         "profile",
         help="profile one run: Perfetto trace + profile JSON + "
-             "Prometheus metrics + RunRecord manifest",
+             "RunRecord manifest",
     )
     pf.add_argument("algorithm", nargs="?", default="match4",
                     choices=["match1", "match2", "match3", "match4",
@@ -766,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--memory", action="store_true",
                     help="resource accounting: per-phase tracemalloc "
                          "peaks, byte ledger, bandwidth estimates "
-                         "(adds memory-profile.json and Chrome Trace "
-                         "counter tracks)")
+                         "(adds the account to the RunRecord and "
+                         "counter tracks to the Chrome Trace)")
     pf.add_argument("--out", default="prof", metavar="DIR",
                     help="output directory (default prof/)")
     pf.set_defaults(fn=_cmd_profile)
@@ -859,30 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="append the final service RunRecord manifest here")
     sv.add_argument("--seed", type=int, default=0,
                     help="seeds the retry-backoff jitter")
-    sv.add_argument("--slo-p95-ms", type=float, default=500.0,
-                    help="SLO latency objective for /debug/vars burn rate")
-    sv.add_argument("--slo-availability", type=float, default=0.999,
-                    help="SLO availability target (error budget = 1 - this)")
-    sv.add_argument("--live-window-s", type=float, default=60.0,
-                    help="rolling window behind /debug/vars and the "
-                         "SSE stream")
     sv.set_defaults(fn=_cmd_serve)
-
-    tp = sub.add_parser(
-        "top",
-        help="live terminal dashboard over a running server's "
-             "/debug/vars (or --replay a telemetry JSONL)",
-    )
-    tp.add_argument("--url", default="http://127.0.0.1:8080",
-                    help="server base URL")
-    tp.add_argument("--interval", type=float, default=1.0,
-                    help="refresh period in seconds")
-    tp.add_argument("--once", action="store_true",
-                    help="print one snapshot and exit (no clear-screen)")
-    tp.add_argument("--replay", default="", metavar="PATH",
-                    help="render aggregates from a recorded telemetry "
-                         "JSONL instead of a live server")
-    tp.set_defaults(fn=_cmd_top)
 
     f = sub.add_parser("fig1", help="render the paper's Fig. 1")
     f.add_argument("--order", default="",

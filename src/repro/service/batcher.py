@@ -61,7 +61,7 @@ from ..errors import ReproError
 from ..parallel.executor import POOL_ERRORS
 from ..pram.cost import CostModel
 from ..telemetry.context import TraceContext, using_trace
-from ..telemetry.live import LiveAggregator, SloConfig
+from ..telemetry.live import LiveAggregator
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import (
     Span,
@@ -119,10 +119,6 @@ class PendingRequest:
     @property
     def nbytes(self) -> int:
         return sum(e.workload.nbytes for e in self.entries if e.payload is None)
-
-    @property
-    def total_nodes(self) -> int:
-        return sum(e.workload.n for e in self.entries)
 
 
 class AdmissionQueue:
@@ -235,10 +231,7 @@ class MicroBatcher:
         #: Rolling-window operational view (always on, like the
         #: ``service.*`` counters); shared with the server's
         #: ``/debug/vars`` handler.
-        self.live = live if live is not None else LiveAggregator(
-            slo=SloConfig(config.slo_p95_ms, config.slo_availability),
-            window_s=config.live_window_s,
-        )
+        self.live = live if live is not None else LiveAggregator()
         self._batch_fn = batch_fn or batch_maximal_matching
         self._fallback_fn = fallback_fn or resilient_matching
         self._stopping = asyncio.Event()
@@ -365,47 +358,54 @@ class MicroBatcher:
         else:
             self.errors += 1
             METRICS.counter("service.errors").inc()
-        hits = sum(1 for e in request.entries if e.cache == "hit")
-        lookups = sum(1 for e in request.entries if e.cache != "off")
-        self.live.observe_request(
-            latency_ms=latency_ms, status=status,
-            cache_hits=hits, cache_lookups=lookups,
-        )
-        if request.trace is not None and telemetry_enabled():
-            self._emit_request_span(request, status, latency_ms,
-                                    hits, lookups)
+        self.observe_request(request.trace, request.ingress_at,
+                             request.entries, single=request.single,
+                             status=status, latency_ms=latency_ms)
         self.admission.release(request.admitted_bytes)
         request.future.set_result((status, payload))
 
-    def _emit_request_span(self, request: PendingRequest, status: int,
-                           latency_ms: float, hits: int,
-                           lookups: int) -> None:
-        """Emit the per-request root span (the trace's tree root).
+    def observe_request(self, trace: TraceContext | None,
+                        ingress_at: float, entries: list[Entry], *,
+                        single: bool, status: int,
+                        latency_ms: float) -> None:
+        """Account one answered request: the live window, and (traced,
+        telemetry on) its ``service.request`` root span.
 
-        Built foreign rather than via the span stack: the request
+        Every answer goes through here — batcher-resolved requests and
+        the server's queue-less full cache hits and sheds alike — so
+        the span carries the same attributes on every path.  The span
+        is built foreign rather than via the span stack: the request
         lived across awaits, threads, and possibly worker processes,
         so its span exists only now — with the id that every child
         already parented under via the ambient context.
         """
+        hits = sum(1 for e in entries if e.cache == "hit")
+        lookups = sum(1 for e in entries if e.cache != "off")
+        self.live.observe_request(
+            latency_ms=latency_ms, status=status,
+            cache_hits=hits, cache_lookups=lookups,
+        )
+        if trace is None or not telemetry_enabled():
+            return
         tracer = get_tracer()
         end = time.perf_counter()
-        span_id = request.trace.span_id
         sp = Span(
             "service.request",
-            span_id if span_id is not None else tracer.next_id(),
+            trace.span_id if trace.span_id is not None
+            else tracer.next_id(),
             None,
-            request.ingress_at or end,
+            ingress_at or end,
             {
                 "status": status,
                 "latency_ms": round(latency_ms, 3),
-                "entries": len(request.entries),
-                "single": request.single,
-                "n_total": request.total_nodes,
+                "entries": len(entries),
+                "single": single,
+                "n_total": sum(e.workload.n for e in entries),
                 "cache_hits": hits,
                 "cache_lookups": lookups,
             },
             tracer,
-            request.trace.trace_id,
+            trace.trace_id,
         )
         sp.end = end
         sp.status = "ok" if status == 200 else "error"

@@ -20,8 +20,6 @@ __all__ = [
     "post_json",
     "get",
     "fetch_json",
-    "sse_frames",
-    "fetch_sse",
 ]
 
 
@@ -124,8 +122,8 @@ def _split_url(url: str) -> tuple[str, int, str]:
 def fetch_json(url: str, *, timeout: float = 30.0) -> tuple[int, Any]:
     """Synchronous one-shot GET: ``(status, parsed JSON or None)``.
 
-    The form ``repro top`` and the benchmark's debug probe use from
-    plain (non-async) code.
+    The form the benchmark's debug probe uses from plain (non-async)
+    code.
     """
     host, port, path = _split_url(url)
     resp = asyncio.run(get(host, port, path, timeout=timeout))
@@ -134,63 +132,3 @@ def fetch_json(url: str, *, timeout: float = 30.0) -> tuple[int, Any]:
     except ValueError:
         return resp.status, None
 
-
-async def sse_frames(
-    host: str, port: int, path: str, *,
-    max_frames: int = 1, timeout: float = 30.0,
-) -> tuple[int, list[Any]]:
-    """Read up to ``max_frames`` ``data:`` frames from an SSE endpoint.
-
-    Returns ``(status, frames)`` with each frame JSON-decoded.  Stops
-    early when the server closes the stream.
-    """
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(host, port), timeout)
-    frames: list[Any] = []
-    try:
-        head = [
-            f"GET {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Accept: text/event-stream",
-            "Connection: close",
-        ]
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
-        await writer.drain()
-
-        async def read() -> int:
-            status_line = await reader.readline()
-            parts = status_line.decode("latin-1").split(maxsplit=2)
-            if len(parts) < 2:
-                raise ConnectionError(
-                    f"malformed status line: {status_line!r}")
-            status = int(parts[1])
-            while True:  # headers
-                raw = await reader.readline()
-                if raw in (b"\r\n", b"\n", b""):
-                    break
-            while len(frames) < max_frames:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if line.startswith(b"data:"):
-                    frames.append(json.loads(
-                        line[len(b"data:"):].strip().decode("utf-8")))
-            return status
-
-        status = await asyncio.wait_for(read(), timeout)
-        return status, frames
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except Exception:  # noqa: BLE001 - server already hung up
-            pass
-
-
-def fetch_sse(url: str, *, max_frames: int = 1,
-              timeout: float = 30.0) -> tuple[int, list[Any]]:
-    """Synchronous wrapper around :func:`sse_frames`."""
-    host, port, path = _split_url(url)
-    return asyncio.run(sse_frames(host, port, path,
-                                  max_frames=max_frames, timeout=timeout))

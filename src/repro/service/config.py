@@ -13,6 +13,7 @@ All deadlines and delays are wall-clock seconds unless the name says
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -73,17 +74,9 @@ class ServiceConfig:
     compute_threads:
         Size of the thread pool the batcher dispatches compute into
         (1 serializes batches, the deterministic default).
-    slo_p95_ms / slo_availability:
-        The service-level objective the live aggregator judges
-        requests against: answered 200 within ``slo_p95_ms`` is good;
-        the complement of ``slo_availability`` is the error budget the
-        ``/debug/vars`` burn rate is measured in.
-    live_window_s:
-        Width of the rolling window behind ``/debug/vars`` and the
-        SSE ``/debug/stream`` (per-second buckets).
-    stream_interval_s:
-        Default frame interval for ``/debug/stream`` (clients may
-        override per request with ``?interval=``).
+
+    Every float must be finite: NaN passes no ``<= 0`` check, and a
+    NaN delay or deadline would reach the event loop as a timeout.
     """
 
     host: str = "127.0.0.1"
@@ -107,18 +100,19 @@ class ServiceConfig:
     manifest_path: str = ""
     seed: int = 0
     compute_threads: int = 1
-    slo_p95_ms: float = 500.0
-    slo_availability: float = 0.999
-    live_window_s: float = 60.0
-    stream_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"{f.name} must be finite, got {value}"
+                )
         positive = (
             "max_queue_depth", "max_inflight_bytes", "max_batch_items",
             "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
             "max_request_bytes", "retry_after_s", "base_backoff_s",
             "max_backoff_s", "drain_deadline_s", "compute_threads",
-            "slo_p95_ms", "live_window_s", "stream_interval_s",
         )
         for name in positive:
             value = getattr(self, name)
@@ -142,11 +136,6 @@ class ServiceConfig:
             raise InvalidParameterError(
                 f"default_deadline_ms ({self.default_deadline_ms}) exceeds "
                 f"max_deadline_ms ({self.max_deadline_ms})"
-            )
-        if not 0.0 < self.slo_availability <= 1.0:
-            raise InvalidParameterError(
-                f"slo_availability must be in (0, 1], got "
-                f"{self.slo_availability}"
             )
         if self.workers is not None and self.workers < 1:
             raise InvalidParameterError(

@@ -13,8 +13,6 @@ Endpoints:
 ``GET /readyz``       readiness (503 once draining)
 ``GET /debug/vars``   JSON operational snapshot: rolling-window rates,
                       latency quantiles, SLO burn, lifetime totals
-``GET /debug/stream`` the same document as Server-Sent Events
-                      (``?interval=``/``?frames=``); ``repro top`` tails it
 ====================  =====================================================
 
 With telemetry enabled, every request is assigned a deterministic
@@ -45,19 +43,14 @@ import asyncio
 import json
 import signal
 import time
-import urllib.parse
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 from ..telemetry import resources as _resources
 from ..telemetry.context import TraceContext, derive_trace_id
-from ..telemetry.live import LiveAggregator, SloConfig
+from ..telemetry.live import LiveAggregator
 from ..telemetry.metrics import METRICS
 from ..telemetry.runrecord import RunRecord, append_record
-from ..telemetry.spans import (
-    Span,
-    enabled as telemetry_enabled,
-    get_tracer,
-)
+from ..telemetry.spans import enabled as telemetry_enabled, get_tracer
 from .batcher import AdmissionQueue, Entry, MicroBatcher, PendingRequest
 from .cache import ResponseCache
 from .config import ServiceConfig
@@ -122,6 +115,12 @@ async def _read_request(
     return method, target, headers, body
 
 
+def _reject_constant(token: str) -> NoReturn:
+    """``json.loads`` hook: ``NaN`` / ``Infinity`` are not JSON numbers
+    (a NaN deadline would reach the event loop as a timeout)."""
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
 def _encode_response(
     status: int,
     body: bytes,
@@ -169,11 +168,7 @@ class MatchingService:
         self.config = config or ServiceConfig()
         self.admission = AdmissionQueue(self.config)
         self.cache = ResponseCache(self.config.cache_size)
-        self.live = LiveAggregator(
-            slo=SloConfig(self.config.slo_p95_ms,
-                          self.config.slo_availability),
-            window_s=self.config.live_window_s,
-        )
+        self.live = LiveAggregator()
         self.batcher = MicroBatcher(
             self.admission, self.config,
             batch_fn=batch_fn, fallback_fn=fallback_fn,
@@ -362,12 +357,6 @@ class MatchingService:
                     break
                 method, target, headers, body = parsed
                 METRICS.counter("service.requests").inc()
-                if (method == "GET"
-                        and target.split("?", 1)[0] == "/debug/stream"):
-                    # SSE: an open-ended chunked-by-frame response that
-                    # never fits the one-shot request/response loop.
-                    await self._stream_debug(writer, target)
-                    break
                 status, payload = await self._route(method, target, body)
                 close = headers.get("connection", "").lower() == "close"
                 if isinstance(payload, bytes):
@@ -439,7 +428,7 @@ class MatchingService:
 
     def _debug_vars(self) -> dict[str, Any]:
         """The ``/debug/vars`` document: window aggregates + lifetime
-        totals, one JSON object (also each SSE frame)."""
+        totals, one JSON object."""
         uptime = (time.monotonic() - self.started_at
                   if self.started_at is not None else 0.0)
         cfg = self.config
@@ -469,105 +458,16 @@ class MatchingService:
                 "algorithm": cfg.algorithm,
                 "backend": cfg.backend,
                 "workers": cfg.workers,
-                "slo_p95_ms": cfg.slo_p95_ms,
-                "slo_availability": cfg.slo_availability,
-                "live_window_s": cfg.live_window_s,
             },
         }
-
-    async def _stream_debug(
-        self, writer: asyncio.StreamWriter, target: str,
-    ) -> None:
-        """Serve ``/debug/stream``: the vars document as SSE frames.
-
-        ``?interval=`` overrides the frame period,  ``?frames=N``
-        closes after N frames (0: stream until drain/disconnect).
-        The first frame is written immediately so a probe with
-        ``frames=1`` never waits an interval.
-        """
-        params = urllib.parse.parse_qs(target.partition("?")[2])
-        try:
-            interval = float(params.get(
-                "interval", [self.config.stream_interval_s])[0])
-            frames = int(params.get("frames", ["0"])[0])
-        except (TypeError, ValueError):
-            writer.write(_encode_response(
-                400,
-                b'{"error": "interval/frames must be numeric"}\n',
-                close=True,
-            ))
-            await writer.drain()
-            return
-        interval = min(max(interval, 0.05), 60.0)
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        sent = 0
-        while True:
-            frame = json.dumps(self._debug_vars())
-            writer.write(b"data: " + frame.encode("utf-8") + b"\n\n")
-            await writer.drain()
-            sent += 1
-            if frames and sent >= frames:
-                return
-            if self.admission.draining or self._stopped.is_set():
-                return
-            try:
-                await asyncio.wait_for(self._stopped.wait(), interval)
-                return  # stopped while waiting: no further frames
-            except (asyncio.TimeoutError, TimeoutError):
-                continue
-
-    def _observe_unqueued(
-        self,
-        trace: TraceContext | None,
-        ingress_at: float,
-        entries: list[Entry],
-        status: int,
-        *,
-        hits: int,
-        lookups: int,
-    ) -> None:
-        """Live + trace accounting for requests answered without ever
-        entering the queue (full cache hits, sheds) — the batcher does
-        the same for everything it resolves."""
-        latency_ms = (time.perf_counter() - ingress_at) * 1000.0
-        self.live.observe_request(
-            latency_ms=latency_ms, status=status,
-            cache_hits=hits, cache_lookups=lookups,
-        )
-        if trace is not None and telemetry_enabled():
-            tracer = get_tracer()
-            span_id = trace.span_id
-            sp = Span(
-                "service.request",
-                span_id if span_id is not None else tracer.next_id(),
-                None,
-                ingress_at,
-                {
-                    "status": status,
-                    "latency_ms": round(latency_ms, 3),
-                    "entries": len(entries),
-                    "n_total": sum(e.workload.n for e in entries),
-                    "cache_hits": hits,
-                    "cache_lookups": lookups,
-                },
-                tracer,
-                trace.trace_id,
-            )
-            sp.end = time.perf_counter()
-            sp.status = "ok" if status == 200 else "error"
-            tracer.emit_foreign(sp)
 
     async def _handle_match(
         self, body: bytes, *, single: bool,
     ) -> tuple[int, dict[str, Any]]:
         ingress_at = time.perf_counter()
         try:
-            data = json.loads(body.decode("utf-8"))
+            data = json.loads(body.decode("utf-8"),
+                              parse_constant=_reject_constant)
         except (ValueError, UnicodeDecodeError) as exc:
             return 400, {"error": f"invalid JSON body: {exc}"}
         if not isinstance(data, dict):
@@ -612,14 +512,16 @@ class MatchingService:
                 get_tracer().next_id(),
             )
 
-        try:
-            deadline_ms = float(data.get(
-                "deadline_ms", self.config.default_deadline_ms))
-        except (TypeError, ValueError):
+        deadline_ms = data.get("deadline_ms", self.config.default_deadline_ms)
+        if isinstance(deadline_ms, bool) or not isinstance(
+                deadline_ms, (int, float)):
             return 400, {"error": "'deadline_ms' must be a number"}
-        deadline_ms = min(max(deadline_ms, 1.0), self.config.max_deadline_ms)
-        use_cache = bool(data.get("cache", True)) and bool(
-            self.config.cache_size)
+        deadline_ms = min(max(float(deadline_ms), 1.0),
+                          self.config.max_deadline_ms)
+        use_cache = data.get("cache", True)
+        if not isinstance(use_cache, bool):
+            return 400, {"error": "'cache' must be a boolean"}
+        use_cache = use_cache and bool(self.config.cache_size)
 
         entries = []
         for workload in workloads:
@@ -642,9 +544,9 @@ class MatchingService:
             self._direct_served += 1
             METRICS.counter("service.served").inc()
             METRICS.histogram("service.latency_ms").observe(0.0)
-            self._observe_unqueued(trace, ingress_at, entries, 200,
-                                   hits=len(entries),
-                                   lookups=len(entries))
+            self.batcher.observe_request(
+                trace, ingress_at, entries, single=single, status=200,
+                latency_ms=(time.perf_counter() - ingress_at) * 1000.0)
             payloads = [{**e.payload, "cache": e.cache} for e in entries]
             extra = ({"trace_id": trace.trace_id}
                      if trace is not None else {})
@@ -665,10 +567,9 @@ class MatchingService:
         reason = self.admission.try_admit(request)
         if reason is not None:
             status = 503 if reason == "draining" else 429
-            hits = sum(1 for e in entries if e.cache == "hit")
-            self._observe_unqueued(
-                trace, ingress_at, entries, status,
-                hits=hits, lookups=len(entries) if use_cache else 0)
+            self.batcher.observe_request(
+                trace, ingress_at, entries, single=single, status=status,
+                latency_ms=(time.perf_counter() - ingress_at) * 1000.0)
             return status, {
                 "error": f"request shed: {reason}",
                 "retry_after_s": self.config.retry_after_s,

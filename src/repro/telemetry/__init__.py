@@ -34,7 +34,7 @@ from .context import (
     set_trace,
     using_trace,
 )
-from .live import LiveAggregator, SloConfig, render_dashboard, replay_jsonl
+from .live import LiveAggregator, SloConfig
 from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
 from .resources import (
     PhaseResource,
@@ -53,7 +53,7 @@ from .runrecord import (
     read_records,
     write_records,
 )
-from .sinks import InMemorySink, JsonlSink, LogSink, NullSink, Sink, TeeSink
+from .sinks import InMemorySink, JsonlSink, LogSink, NullSink, Sink
 from .spans import (
     Span,
     Tracer,
@@ -79,7 +79,6 @@ from .export import (  # noqa: E402
     request_trace_spans,
     spans_from_jsonl,
     write_chrome_trace,
-    write_prometheus,
 )
 from .profiling import (  # noqa: E402
     PhaseProfile,
@@ -99,7 +98,7 @@ __all__ = [
     "TraceContext", "derive_trace_id", "current_trace", "set_trace",
     "using_trace",
     # live view
-    "LiveAggregator", "SloConfig", "render_dashboard", "replay_jsonl",
+    "LiveAggregator", "SloConfig",
     # metrics
     "METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
     # resources
@@ -107,7 +106,7 @@ __all__ = [
     "build_resource_report", "configure_resources_from_env",
     "ledger_snapshot", "track_resources", "resources_enabled",
     # sinks
-    "Sink", "NullSink", "InMemorySink", "JsonlSink", "LogSink", "TeeSink",
+    "Sink", "NullSink", "InMemorySink", "JsonlSink", "LogSink",
     # run records
     "SCHEMA_VERSION", "RunRecord", "append_record", "write_records",
     "read_records",
@@ -117,7 +116,7 @@ __all__ = [
     # exporters
     "chrome_trace_events", "machine_trace_events",
     "resource_counter_events", "write_chrome_trace",
-    "prometheus_exposition", "write_prometheus", "spans_from_jsonl",
+    "prometheus_exposition", "spans_from_jsonl",
     "request_trace_ids", "request_trace_spans", "request_trace_events",
     # HTML report
     "render_report", "write_report", "diff_records",

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from .metrics import METRICS, Counter, Gauge, Histogram, MetricsRegistry
-from .sinks import json_default, rotated_chain
+from .sinks import json_default, read_jsonl
 from .spans import Span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -43,7 +43,6 @@ __all__ = [
     "resource_counter_events",
     "write_chrome_trace",
     "prometheus_exposition",
-    "write_prometheus",
     "spans_from_jsonl",
     "request_trace_ids",
     "request_trace_spans",
@@ -305,46 +304,28 @@ def write_chrome_trace(
 # that shared span soup into one renderable tree per request.
 
 
-def spans_from_jsonl(path, *, rotated: bool = True) -> list[Span]:
+def _span_from_dict(data: Mapping[str, Any]) -> Span:
+    sp = Span(
+        data["name"], int(data["span_id"]),
+        data.get("parent_id"), float(data["start"]),
+        dict(data.get("attributes", {})), tracer=None,
+        trace_id=data.get("trace_id"),
+    )
+    sp.end = sp.start + float(data.get("duration_s", 0.0))
+    sp.status = data.get("status", "ok")
+    return sp
+
+
+def spans_from_jsonl(path) -> list[Span]:
     """Load ``{"type": "span", ...}`` lines from a JsonlSink file.
 
-    Lines of other types (run records sharing the file) and malformed
-    lines (a truncated tail from a killed writer) are skipped.  With
-    ``rotated`` (the default), rolled generations (``<path>.1``,
-    ``<path>.2``, ... — higher suffix = older) left by ``max_bytes``
-    rotation are read first, oldest to newest, so replay sees the full
-    history.
+    Lines of other types (run records sharing the file) are skipped;
+    malformed lines (a truncated tail from a killed writer, a
+    non-object, a span line missing a field) are skipped with a
+    :class:`RuntimeWarning`, as :func:`~repro.telemetry.sinks.read_jsonl`
+    describes.
     """
-    paths = rotated_chain(path) if rotated else [str(path)]
-    spans: list[Span] = []
-    for p in paths:
-        try:
-            fh = open(p, encoding="utf-8")
-        except FileNotFoundError:
-            if len(paths) == 1:
-                raise
-            continue
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if data.get("type") != "span":
-                    continue
-                sp = Span(
-                    data["name"], int(data["span_id"]),
-                    data.get("parent_id"), float(data["start"]),
-                    dict(data.get("attributes", {})), tracer=None,
-                    trace_id=data.get("trace_id"),
-                )
-                sp.end = sp.start + float(data.get("duration_s", 0.0))
-                sp.status = data.get("status", "ok")
-                spans.append(sp)
-    return spans
+    return read_jsonl(path, "span", _span_from_dict)
 
 
 def _span_links(span: Span) -> tuple[str, ...]:
@@ -571,19 +552,3 @@ def prometheus_exposition(
             lines.append(f"{base}_count{lbl()} {_prom_value(metric.count)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
-
-def write_prometheus(
-    path,
-    registry: MetricsRegistry = METRICS,
-    *,
-    prefix: str = "repro_",
-    labels: Mapping[str, Any] | None = None,
-) -> Path:
-    """Write the exposition to ``path`` (e.g. for node_exporter's
-    textfile collector)."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(prometheus_exposition(registry, prefix=prefix,
-                                       labels=labels),
-                 encoding="utf-8")
-    return p

@@ -18,11 +18,7 @@ at snapshot time,
 
 The aggregator is fed per request by the service's micro-batcher
 (always on, like the ``service.*`` counters — a handful of dict
-updates per request), published by ``GET /debug/vars`` (JSON) and the
-``GET /debug/stream`` SSE feed, and rendered in a terminal by
-``repro top``.  :func:`replay_jsonl` rebuilds the same aggregates
-from a recorded telemetry JSONL file, so the dashboard works on a
-post-mortem exactly as it does live.
+updates per request) and published by ``GET /debug/vars`` (JSON).
 
 Everything is deterministic under an injected ``clock`` (tests) and
 bounded: the ring holds ``window_s / bucket_s`` buckets, each keeping
@@ -36,15 +32,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
-__all__ = [
-    "SloConfig",
-    "LiveAggregator",
-    "replay_jsonl",
-    "render_dashboard",
-    "sparkline",
-]
+from .metrics import nearest_rank
+
+__all__ = ["SloConfig", "LiveAggregator"]
 
 
 @dataclass(frozen=True)
@@ -104,10 +96,8 @@ def _quantiles(samples: Sequence[float]) -> dict[str, float | None]:
     ordered = sorted(samples)
 
     def at(q: float) -> float | None:
-        if not ordered:
-            return None
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-        return round(ordered[rank], 3)
+        value = nearest_rank(ordered, q)
+        return None if value is None else round(value, 3)
 
     return {"p50": at(0.50), "p95": at(0.95), "p99": at(0.99)}
 
@@ -232,117 +222,3 @@ class LiveAggregator:
             "per_bucket": [b.count for b in buckets],
         }
 
-
-def replay_jsonl(path, *, slo: SloConfig | None = None) -> dict[str, Any]:
-    """Rebuild live aggregates from a recorded telemetry JSONL file.
-
-    Reads the ``service.request`` spans a traced server emitted (their
-    attributes carry status / latency / cache counts), replays them
-    into a :class:`LiveAggregator` whose window covers the whole
-    recording, and returns the final snapshot — the post-mortem twin
-    of ``GET /debug/vars``'s ``live`` section.
-    """
-    from .export import spans_from_jsonl
-
-    requests = [s for s in spans_from_jsonl(path)
-                if s.name == "service.request"]
-    if not requests:
-        agg = LiveAggregator(slo=slo)
-        return agg.snapshot(now=0.0)
-    ends = [(s.end if s.end is not None else s.start) for s in requests]
-    t0, t1 = min(s.start for s in requests), max(ends)
-    window = max(1.0, t1 - t0 + 1.0)
-    agg = LiveAggregator(slo=slo, window_s=window,
-                         clock=lambda: t1 - t0)
-    for s, end in zip(requests, ends):
-        attrs = s.attributes
-        agg.observe_request(
-            latency_ms=float(attrs.get("latency_ms", s.duration * 1e3)),
-            status=int(attrs.get("status", 200)),
-            cache_hits=int(attrs.get("cache_hits", 0)),
-            cache_lookups=int(attrs.get("cache_lookups", 0)),
-            now=end - t0,
-        )
-    return agg.snapshot()
-
-
-# -- terminal rendering ------------------------------------------------------
-
-_SPARK = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float], *, width: int = 60) -> str:
-    """A unicode block sparkline, newest value rightmost."""
-    values = list(values)[-width:]
-    if not values:
-        return ""
-    top = max(values) or 1.0
-    return "".join(
-        _SPARK[min(len(_SPARK) - 1,
-                   int(v / top * (len(_SPARK) - 1) + 0.5))]
-        for v in values
-    )
-
-
-def _bar(fraction: float, *, width: int = 24) -> str:
-    fraction = min(1.0, max(0.0, fraction))
-    filled = int(fraction * width + 0.5)
-    return "█" * filled + "·" * (width - filled)
-
-
-def _fmt_ms(value: float | None) -> str:
-    return "    --" if value is None else f"{value:8.1f}ms"
-
-
-def render_dashboard(vars_doc: Mapping[str, Any], *,
-                     title: str = "repro top") -> str:
-    """Render one ``/debug/vars`` document as a fixed-width dashboard.
-
-    Pure string-in/string-out (testable, replayable); ``repro top``
-    wraps it in a clear-screen poll loop.
-    """
-    live = vars_doc.get("live", vars_doc)
-    slo = live.get("slo", {})
-    rates = live.get("rates", {})
-    lat = live.get("latency_ms", {})
-    totals = vars_doc.get("totals", {})
-    uptime = vars_doc.get("uptime_s")
-    burn = float(slo.get("burn_rate", 0.0))
-    lines = [
-        f"{title} — window {live.get('window_s', 0):g}s"
-        + (f", uptime {uptime:.0f}s" if uptime is not None else ""),
-        "",
-        f"  requests  {live.get('count', 0):>7}  ({live.get('rps', 0):g}/s)"
-        f"   total {live.get('total', totals.get('served', 0)):>8}",
-        f"  activity  {sparkline(live.get('per_bucket', []))}",
-        "",
-        f"  latency   p50 {_fmt_ms(lat.get('p50'))}"
-        f"   p95 {_fmt_ms(lat.get('p95'))}"
-        f"   p99 {_fmt_ms(lat.get('p99'))}",
-        f"  rates     shed {rates.get('shed', 0.0):6.2%}"
-        f"   timeout {rates.get('timeout', 0.0):6.2%}"
-        f"   error {rates.get('error', 0.0):6.2%}"
-        f"   cache {rates.get('cache_hit', 0.0):6.2%}",
-        "",
-        f"  SLO       p95 ≤ {slo.get('p95_latency_ms', 0):g}ms @ "
-        f"{slo.get('availability', 0):.3%} availability",
-        f"  burn      [{_bar(burn)}] {burn:5.2f}x "
-        + ("OK" if slo.get("healthy", True) else "BURNING"),
-        f"  good/bad  {slo.get('good', 0)}/{slo.get('bad', 0)}"
-        f"   budget {slo.get('budget', 0.0):g}",
-    ]
-    service = vars_doc.get("service")
-    if service:
-        lines += [
-            "",
-            f"  queue     depth {service.get('queue_depth', 0)}"
-            f"   inflight {service.get('inflight_bytes', 0)}B"
-            f"   draining {service.get('draining', False)}",
-        ]
-    if totals:
-        lines += [
-            f"  totals    served {totals.get('served', 0)}"
-            f"   batches {totals.get('batches', 0)}"
-            f"   degraded {totals.get('degraded', 0)}",
-        ]
-    return "\n".join(lines) + "\n"

@@ -20,9 +20,18 @@ enabled flag before touching the registry).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict
+from typing import Any, Dict, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "METRICS",
+           "nearest_rank"]
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float | None:
+    """Nearest-rank ``q`` quantile of sorted values (``None`` if empty)."""
+    if not ordered:
+        return None
+    rank = int(q * len(ordered) + 0.5) - 1
+    return ordered[min(len(ordered) - 1, max(0, rank))]
 
 
 class Counter:
@@ -114,24 +123,14 @@ class Histogram:
         """Nearest-rank quantile over the reservoir (``None`` if empty)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered) + 0.5) - 1))
-        return ordered[rank]
+        return nearest_rank(sorted(self._samples), q)
 
     def quantiles(self) -> dict[str, float | None]:
         """The standard p50/p95/p99 summary (``None`` values if empty)."""
         ordered = sorted(self._samples)
-
-        def at(q: float) -> float | None:
-            if not ordered:
-                return None
-            rank = min(len(ordered) - 1,
-                       max(0, int(q * len(ordered) + 0.5) - 1))
-            return ordered[rank]
-
-        return {"p50": at(0.50), "p95": at(0.95), "p99": at(0.99)}
+        return {"p50": nearest_rank(ordered, 0.50),
+                "p95": nearest_rank(ordered, 0.95),
+                "p99": nearest_rank(ordered, 0.99)}
 
     def to_dict(self) -> dict[str, Any]:
         return {

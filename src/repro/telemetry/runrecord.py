@@ -17,13 +17,12 @@ The cost fields round-trip exactly — ``RunRecord.from_result(r)
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, TYPE_CHECKING
 
 from .._buildinfo import build_info
-from .sinks import json_default, rotated_chain
+from .sinks import json_default, read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
     from ..core.result import MatchResult
@@ -205,55 +204,16 @@ def write_records(path, records, *, append: bool = False) -> Path:
     return p
 
 
-def read_records(path, *, strict: bool = False,
-                 rotated: bool = True) -> list[RunRecord]:
+def read_records(path, *, strict: bool = False) -> list[RunRecord]:
     """Load every run record from a JSONL file.
 
     Lines of other types (spans from a :class:`JsonlSink` writing to
     the same file) are skipped, so one telemetry file can hold both.
-
-    With ``rotated`` (the default), rolled generations left by size
-    rotation (``<path>.1``, ``<path>.2``, ... — higher suffix = older;
-    see :func:`~repro.telemetry.sinks.rotated_chain`) are read first, oldest to newest, so replay tools
-    see the full history instead of silently dropping everything
-    before the last roll.  ``rotated=False`` reads only ``path``.
-
     Malformed lines — the truncated trailing line a killed writer
-    leaves behind — are *skipped with a* :class:`RuntimeWarning`
-    rather than raised, so an interrupted run's manifest stays
-    readable.  Pass ``strict=True`` to get the old raising behavior
-    (tests that must notice corruption).
+    leaves behind, a non-object, a run line missing a field — are
+    *skipped with a* :class:`RuntimeWarning` rather than raised, so an
+    interrupted run's manifest stays readable.  Pass ``strict=True``
+    to raise instead (tests that must notice corruption); see
+    :func:`~repro.telemetry.sinks.read_jsonl`.
     """
-    paths = rotated_chain(path) if rotated else [str(path)]
-    records: list[RunRecord] = []
-    for p in paths:
-        try:
-            fh = open(p, encoding="utf-8")
-        except FileNotFoundError:
-            # A rolled generation can outlive the live file (nothing
-            # appended since the roll); only a chain with no file at
-            # all is an error.
-            if len(paths) == 1:
-                raise
-            continue
-        with fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    if strict:
-                        raise
-                    warnings.warn(
-                        f"{p}:{lineno}: skipping malformed/truncated "
-                        f"JSONL line ({exc})",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    continue
-                if data.get("type", "run") != "run":
-                    continue
-                records.append(RunRecord.from_dict(data))
-    return records
+    return read_jsonl(path, "run", RunRecord.from_dict, strict=strict)

@@ -13,6 +13,10 @@ intended deployments:
 - :class:`LogSink` — human-readable lines through the stdlib
   ``logging`` machinery (logger ``repro.telemetry``), for watching a
   run live on stderr.
+
+:func:`read_jsonl` is the one reader of the JSONL format, shared by
+:func:`~repro.telemetry.runrecord.read_records` and
+:func:`~repro.telemetry.export.spans_from_jsonl`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import json
 import logging
 import os
 import sys
-from typing import IO, TYPE_CHECKING, Any
+import warnings
+from typing import IO, TYPE_CHECKING, Any, Callable, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (spans imports us)
     from .spans import Span
@@ -32,10 +37,11 @@ __all__ = [
     "InMemorySink",
     "JsonlSink",
     "LogSink",
-    "TeeSink",
     "json_default",
-    "rotated_chain",
+    "read_jsonl",
 ]
+
+T = TypeVar("T")
 
 
 def json_default(obj: Any):
@@ -48,33 +54,44 @@ def json_default(obj: Any):
     return str(obj)
 
 
-def rotated_chain(path) -> list[str]:
-    """All generations of a rotated JSONL file, oldest first.
+def read_jsonl(path, line_type: str, build: Callable[[dict], T], *,
+               strict: bool = False) -> list[T]:
+    """``build(obj)`` for every ``line_type`` line of a JSONL file.
 
-    Size rotation (:class:`JsonlSink` ``max_bytes``) renames the live
-    file to ``<path>.1``; external rotators may stack deeper
-    (``<path>.2`` and up, higher suffix = older, logrotate-style).
-    Returns ``[<path>.N, ..., <path>.1, <path>]`` filtered to the
-    generations that exist — except the live path, which is always
-    included, so a missing file still raises the usual ``FileNotFound``
-    at ``open`` time rather than silently reading nothing.
+    A line's type is its ``"type"`` field (``"run"`` when absent);
+    lines of other types (spans and runs sharing one file) are
+    skipped silently.  A line
+    that is not a JSON object, or whose ``build`` fails for a missing
+    or ill-typed field — the truncated trailing line a killed writer
+    leaves behind, or a hand-edited one — is *skipped with a*
+    :class:`RuntimeWarning`, so an interrupted run's file stays
+    readable.  ``strict=True`` raises instead (tests that must notice
+    corruption).
     """
-    base = str(path)
-    gens: list[tuple[int, str]] = []
-    directory = os.path.dirname(base) or "."
-    name = os.path.basename(base)
-    try:
-        entries = os.listdir(directory)
-    except OSError:
-        entries = []
-    for entry in entries:
-        if entry.startswith(name + "."):
-            suffix = entry[len(name) + 1:]
-            if suffix.isdigit():
-                gens.append((int(suffix), os.path.join(directory, entry)))
-    chain = [p for _, p in sorted(gens, reverse=True)]
-    chain.append(base)
-    return chain
+    out: list[T] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+                if not isinstance(data, dict):
+                    raise ValueError(
+                        f"expected a JSON object, got {type(data).__name__}")
+                if data.get("type", "run") != line_type:
+                    continue
+                out.append(build(data))
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                if strict:
+                    raise
+                warnings.warn(
+                    f"{path}:{lineno}: skipping malformed/truncated "
+                    f"JSONL line ({type(exc).__name__}: {exc})",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+    return out
 
 
 class Sink:
@@ -124,20 +141,11 @@ class JsonlSink(Sink):
     ``emit_*`` returns, with nothing held in userspace buffers for a
     crash to lose.  A reader's worst case is one *truncated trailing
     line* from a writer killed mid-``write``, which
-    :func:`repro.telemetry.runrecord.read_records` skips with a
-    warning.
-
-    ``max_bytes`` adds single-roll size rotation: before a write
-    would push the file past the bound, the file is renamed to
-    ``<path>.1`` (replacing any previous roll) and a fresh one
-    started — a long-running traced service caps its telemetry at
-    ``2 * max_bytes`` on disk.  Rotation assumes this sink is the
-    file's only writer (multi-process appenders should leave it off).
+    :func:`read_jsonl` skips with a warning.
     """
 
-    def __init__(self, path, *, max_bytes: int | None = None) -> None:
+    def __init__(self, path) -> None:
         self.path = str(path)
-        self.max_bytes = max_bytes
         self._fd: int | None = None
 
     def _file(self) -> int:
@@ -151,15 +159,7 @@ class JsonlSink(Sink):
 
     def _write(self, obj: dict[str, Any]) -> None:
         data = (json.dumps(obj, default=json_default) + "\n").encode("utf-8")
-        fd = self._file()
-        if self.max_bytes is not None:
-            size = os.fstat(fd).st_size
-            if size and size + len(data) > self.max_bytes:
-                os.close(fd)
-                self._fd = None
-                os.replace(self.path, self.path + ".1")
-                fd = self._file()
-        os.write(fd, data)
+        os.write(self._file(), data)
 
     def emit_span(self, span: "Span") -> None:
         self._write({"type": "span", **span.to_dict()})
@@ -200,21 +200,3 @@ class LogSink(Sink):
         self.logger.log(self.level, "run %s",
                         json.dumps(record, default=json_default))
 
-
-class TeeSink(Sink):
-    """Fans every emission out to several sinks."""
-
-    def __init__(self, *sinks: Sink) -> None:
-        self.sinks = tuple(sinks)
-
-    def emit_span(self, span: "Span") -> None:
-        for sink in self.sinks:
-            sink.emit_span(span)
-
-    def emit_record(self, record: dict[str, Any]) -> None:
-        for sink in self.sinks:
-            sink.emit_record(record)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

@@ -116,7 +116,46 @@ class TestValidation:
         assert self._post({"layout": "random"}).status == 400
 
     def test_bad_deadline_400(self):
-        assert self._post({"n": 64, "deadline_ms": "soon"}).status == 400
+        bodies = [
+            b'{"n": 64, "deadline_ms": "soon"}',
+            b'{"n": 64, "deadline_ms": true}',
+            b'{"n": 32, "deadline_ms": NaN}',
+            b'{"n": 32, "deadline_ms": Infinity}',
+            b'{"n": 32, "deadline_ms": -Infinity}',
+            b'{"n": 32, "seed": NaN}',
+            b'{"next": [1, 2, NaN]}',
+            b'{"n": 32, "cache": "false"}',
+            b'{"n": 32, "cache": 0}',
+        ]
+
+        async def scenario(service):
+            from repro.service.client import http_request
+
+            return [await http_request(HOST, service.port, "POST",
+                                       "/v1/match", body=raw)
+                    for raw in bodies]
+
+        responses = run_service(ServiceConfig(**CFG), scenario)
+        assert [r.status for r in responses] == [400] * len(bodies)
+
+    def test_request_after_nan_deadline_is_answered(self):
+        # A NaN deadline that reaches the event loop as a timer breaks
+        # the loop's timer heap: the body itself was answered 500 and
+        # kept its admission bytes, or the next request stalled.
+        async def scenario(service):
+            from repro.service.client import http_request
+
+            nan = await http_request(HOST, service.port, "POST",
+                                     "/v1/match", timeout=5.0,
+                                     body=b'{"n": 32, "deadline_ms": NaN}')
+            after = await match(service, {"n": 128, "seed": 4}, timeout=5.0)
+            ready = await get(HOST, service.port, "/readyz")
+            return nan, after, ready
+
+        nan, after, ready = run_service(ServiceConfig(**CFG), scenario)
+        assert nan.status == 400
+        assert after.status == 200
+        assert ready.json()["inflight_bytes"] == 0
 
     def test_malformed_batch_entry_400_not_500(self):
         from repro.telemetry.metrics import METRICS

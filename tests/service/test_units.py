@@ -37,6 +37,10 @@ class TestConfig:
         {"cache_size": -1},
         {"max_retries": -1},
         {"compute_threads": 0},
+        {"max_batch_delay_ms": float("nan")},
+        {"default_deadline_ms": float("nan")},
+        {"max_deadline_ms": float("inf")},
+        {"retry_after_s": float("inf")},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):

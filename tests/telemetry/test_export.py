@@ -1,7 +1,6 @@
 """Tests for the Chrome-trace and Prometheus exporters."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.telemetry import (
     machine_trace_events,
     prometheus_exposition,
     write_chrome_trace,
-    write_prometheus,
 )
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -181,13 +179,6 @@ class TestPrometheusExposition:
         assert "quantile" not in text
         assert "repro_empty_count 0" in text
 
-    def test_write_prometheus(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("x").inc()
-        path = write_prometheus(tmp_path / "m.prom", reg)
-        assert path.read_text().endswith("\n")
-        assert "repro_x_total 1" in path.read_text()
-
     def test_name_sanitization(self):
         reg = MetricsRegistry()
         reg.counter("span.pram run.count").inc()
@@ -275,9 +266,8 @@ class TestPrometheusHostileStrings:
             float(value)  # every sample value must parse
 
 
-class TestRotatedSpanReading:
-    """spans_from_jsonl stitches rolled generations (``repro top
-    --replay`` sees the whole recording, not the newest slice)."""
+class TestSpanReading:
+    """spans_from_jsonl: span lines back into Span objects."""
 
     @staticmethod
     def _span_line(name, span_id, start, duration_s=0.001, attrs=None):
@@ -287,61 +277,26 @@ class TestRotatedSpanReading:
             "duration_s": duration_s, "attributes": attrs or {},
         }) + "\n"
 
-    def test_reads_generations_oldest_first(self, tmp_path):
-        from repro.telemetry.export import spans_from_jsonl
-
-        path = tmp_path / "spans.jsonl"
-        # Logrotate-style: .2 oldest, .1 next, live file newest.
-        (tmp_path / "spans.jsonl.2").write_text(
-            self._span_line("a", 1, 0.0))
-        (tmp_path / "spans.jsonl.1").write_text(
-            self._span_line("b", 2, 1.0))
-        path.write_text(self._span_line("c", 3, 2.0))
-        spans = spans_from_jsonl(path)
-        assert [s.name for s in spans] == ["a", "b", "c"]
-        assert [s.name for s in spans_from_jsonl(path, rotated=False)] \
-            == ["c"]
-
-    def test_missing_live_file_with_rolled_generation(self, tmp_path):
-        from repro.telemetry.export import spans_from_jsonl
-
-        (tmp_path / "spans.jsonl.1").write_text(
-            self._span_line("old", 1, 0.0))
-        spans = spans_from_jsonl(tmp_path / "spans.jsonl")
-        assert [s.name for s in spans] == ["old"]
-
     def test_missing_everything_still_raises(self, tmp_path):
         from repro.telemetry.export import spans_from_jsonl
 
         with pytest.raises(FileNotFoundError):
             spans_from_jsonl(tmp_path / "nope.jsonl")
 
-    def test_replay_spans_the_roll(self, tmp_path):
-        """The post-mortem dashboard counts requests from every
-        generation."""
-        from repro.telemetry.live import replay_jsonl
+    @pytest.mark.parametrize("bad", [
+        "[1, 2]",                                # JSON, not an object
+        '{"type": "span", "span_id": 3, "start": 1.0}',  # no name
+        '{"type": "span", "name": "x"}',         # no span_id / start
+        '{"type": "span", "name": "x", "span_id": "?", "start": 0}',
+        '{"type": "sp',                          # truncated tail
+    ])
+    def test_malformed_lines_skipped_with_warning(self, tmp_path, bad):
+        from repro.telemetry.export import spans_from_jsonl
 
-        path = tmp_path / "svc.jsonl"
-        (tmp_path / "svc.jsonl.1").write_text("".join(
-            self._span_line("service.request", i, float(i),
-                            attrs={"status": 200, "latency_ms": 5.0})
-            for i in range(3)))
-        path.write_text("".join(
-            self._span_line("service.request", 10 + i, 3.0 + i,
-                            attrs={"status": 200, "latency_ms": 5.0})
-            for i in range(2)))
-        snap = replay_jsonl(path)
-        assert snap["count"] == 5
-
-    def test_rotated_chain_ordering(self, tmp_path):
-        from repro.telemetry.sinks import rotated_chain
-
-        path = tmp_path / "f.jsonl"
-        path.write_text("")
-        (tmp_path / "f.jsonl.1").write_text("")
-        (tmp_path / "f.jsonl.10").write_text("")
-        (tmp_path / "f.jsonl.2").write_text("")
-        (tmp_path / "f.jsonl.bak").write_text("")  # not a generation
-        chain = [Path(p).name for p in map(str, rotated_chain(path))]
-        assert chain == ["f.jsonl.10", "f.jsonl.2", "f.jsonl.1",
-                         "f.jsonl"]
+        path = tmp_path / "spans.jsonl"
+        path.write_text(self._span_line("a", 1, 0.0) + bad + "\n"
+                        + '{"type": "run", "n": 1}\n'
+                        + self._span_line("b", 2, 1.0))
+        with pytest.warns(RuntimeWarning, match="spans.jsonl:2"):
+            spans = spans_from_jsonl(path)
+        assert [s.name for s in spans] == ["a", "b"]

@@ -1,17 +1,8 @@
-"""Tests for the live view: rolling window, SLO burn, replay, renderer."""
-
-import json
+"""Tests for the live view: rolling window, SLO burn, quantiles."""
 
 import pytest
 
-from repro.telemetry.live import (
-    LiveAggregator,
-    SloConfig,
-    _quantiles,
-    render_dashboard,
-    replay_jsonl,
-    sparkline,
-)
+from repro.telemetry.live import LiveAggregator, SloConfig, _quantiles
 
 
 def make(clock_value=0.0, **kwargs):
@@ -142,76 +133,3 @@ class TestQuantiles:
     def test_singleton(self):
         assert _quantiles([7.0]) == {"p50": 7.0, "p95": 7.0, "p99": 7.0}
 
-
-class TestReplay:
-    def span_line(self, name, start, end, **attrs):
-        return json.dumps({
-            "type": "span", "name": name, "span_id": 1, "parent_id": None,
-            "start": start, "duration_s": end - start, "attributes": attrs,
-            "status": "ok",
-        })
-
-    def test_replay_matches_live_semantics(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        lines = [
-            self.span_line("service.request", 0.0, 0.01,
-                           status=200, latency_ms=10.0,
-                           cache_hits=1, cache_lookups=1),
-            self.span_line("service.request", 1.0, 1.02,
-                           status=503, latency_ms=20.0),
-            self.span_line("other.span", 0.0, 5.0),  # ignored
-        ]
-        path.write_text("\n".join(lines) + "\n")
-        snap = replay_jsonl(path)
-        assert snap["count"] == 2  # whole recording in window
-        assert snap["by_status"] == {"200": 1, "503": 1}
-        assert snap["rates"]["shed"] == 0.5
-        assert snap["rates"]["cache_hit"] == 1.0
-        assert snap["latency_ms"]["p50"] == 10.0
-
-    def test_replay_empty_file(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        path.write_text("")
-        snap = replay_jsonl(path)
-        assert snap["count"] == 0
-
-    def test_replay_honors_slo(self, tmp_path):
-        path = tmp_path / "spans.jsonl"
-        path.write_text(self.span_line(
-            "service.request", 0.0, 0.2, status=200, latency_ms=200.0,
-        ) + "\n")
-        snap = replay_jsonl(path, slo=SloConfig(p95_latency_ms=100.0))
-        assert snap["slo"]["bad"] == 1
-
-
-class TestRendering:
-    def test_sparkline_shape(self):
-        line = sparkline([0, 1, 2, 3])
-        assert len(line) == 4
-        assert line[0] == "▁" and line[-1] == "█"
-
-    def test_sparkline_empty(self):
-        assert sparkline([]) == ""
-
-    def test_sparkline_truncates_to_width(self):
-        assert len(sparkline(list(range(100)), width=10)) == 10
-
-    def test_render_dashboard_pure(self):
-        agg, clk = make(window_s=60.0)
-        agg.observe_request(latency_ms=5.0, status=200, now=1.0)
-        agg.observe_request(latency_ms=5.0, status=429, now=1.0)
-        clk["now"] = 1.5
-        doc = {"live": agg.snapshot(), "uptime_s": 12.0,
-               "service": {"queue_depth": 0, "inflight_bytes": 0,
-                           "draining": False},
-               "totals": {"served": 1, "batches": 1, "degraded": 0}}
-        out = render_dashboard(doc, title="test top")
-        assert "test top" in out
-        assert "p50" in out and "burn" in out
-        assert "draining False" in out
-        assert out == render_dashboard(doc, title="test top")  # pure
-
-    def test_render_dashboard_live_only(self):
-        agg, _ = make()
-        out = render_dashboard({"live": agg.snapshot()})
-        assert "requests" in out

@@ -111,28 +111,3 @@ class TestBuildInfo:
         assert s.startswith("repro ")
         assert info["version"] in s
 
-
-class TestAppendRecordRotation:
-    def record(self, i):
-        return RunRecord(algorithm="match4", backend="reference",
-                         n=64, p=8, time=10, work=100,
-                         extra={"i": i, "pad": "x" * 100})
-
-    def test_default_read_spans_the_roll(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        write_records(path.with_name(path.name + ".1"),
-                      [self.record(i) for i in range(10)])
-        write_records(path, [self.record(i) for i in range(10, 20)])
-        # The default read stitches rolled generations (oldest first)
-        # onto the live file — no record silently dropped at the roll.
-        seen = [r.extra["i"] for r in read_records(path)]
-        assert seen == list(range(20))
-        live = [r.extra["i"] for r in read_records(path, rotated=False)]
-        assert live == list(range(10, 20))
-
-    def test_no_max_bytes_never_rotates(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        for i in range(20):
-            append_record(path, self.record(i))
-        assert not path.with_name(path.name + ".1").exists()
-        assert len(read_records(path)) == 20

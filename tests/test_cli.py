@@ -165,8 +165,8 @@ class TestProfileAndReport:
         profile = json.loads((out / "profile.json").read_text())
         assert profile["algorithm"] == "match4"
         assert profile["phases"]
-        assert "repro_matching_runs_total 1" in \
-            (out / "metrics.prom").read_text()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "profile.json", "runs.jsonl", "trace.json"]
         from repro.telemetry import read_records
 
         records = read_records(out / "runs.jsonl")
@@ -326,8 +326,6 @@ class TestProfileMemory:
         resources.reset()
 
     def test_memory_flag_writes_profile_and_summary(self, capsys, tmp_path):
-        import json
-
         out = tmp_path / "prof"
         rc = main(["profile", "match4", "--n", "512", "--memory",
                    "--out", str(out)])
@@ -335,12 +333,18 @@ class TestProfileMemory:
         assert rc == 0
         assert "memory    :" in text
         assert "peak alloc:" in text
-        data = json.loads((out / "memory-profile.json").read_text())
+        from repro.telemetry import read_records
+
+        # The account lives in the record alone: no separate file.
+        assert sorted(p.name for p in out.iterdir()) == [
+            "profile.json", "runs.jsonl", "trace.json"]
+        (record,) = read_records(out / "runs.jsonl")
+        data = record.extra["resources"]
         assert data["model"]["name"] == "array-sweep-rw-v1"
         assert data["peak_alloc_b"] > 0
         assert any(ph["alloc_peak_b"] is not None
                    for ph in data["phases"])
-        assert str(out / "memory-profile.json") in text
+        assert str(out / "runs.jsonl") in text
 
     def test_record_carries_resources(self, capsys, tmp_path):
         out = tmp_path / "prof"
@@ -369,7 +373,10 @@ class TestProfileMemory:
         out = tmp_path / "prof"
         main(["profile", "match4", "--n", "256", "--out", str(out)])
         text = capsys.readouterr().out
-        assert not (out / "memory-profile.json").exists()
+        from repro.telemetry import read_records
+
+        (record,) = read_records(out / "runs.jsonl")
+        assert "resources" not in record.extra
         assert "memory    :" not in text
 
     def test_env_var_attaches_resources_to_match_record(
