@@ -186,7 +186,6 @@ def spawn_server(args, manifest: Path) -> tuple[subprocess.Popen, int]:
         "--max-batch-items", str(args.max_batch_items),
         "--deadline-ms", str(args.deadline_ms),
         "--record", str(manifest),
-        "--seed", str(args.seed),
     ]
     if args.server_workers:
         cmd += ["--workers", str(args.server_workers)]

@@ -525,7 +525,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         drain_deadline_s=args.drain_deadline_s,
         retry_after_s=args.retry_after_s,
         manifest_path=args.record,
-        seed=args.seed,
     )
     return MatchingService(config).run()
 
@@ -793,8 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="Retry-After hint on 429/503 responses")
     sv.add_argument("--record", default="",
                     help="append the final service RunRecord manifest here")
-    sv.add_argument("--seed", type=int, default=0,
-                    help="seeds the retry-backoff jitter")
     sv.set_defaults(fn=_cmd_serve)
 
     f = sub.add_parser("fig1", help="render the paper's Fig. 1")

@@ -7,10 +7,9 @@ cache can go stale: a worker that died (OOM kill, ``os._exit`` in a
 task, a SIGKILL'd child) permanently breaks its executor, and handing
 that corpse back to a caller guarantees a :class:`BrokenExecutor` on
 the next submit.  :func:`get_pool` therefore health-checks the cached
-pool before returning it — passively (the executor's broken flag)
-always, actively (a round-trip probe task) on request — and rebuilds a
-broken pool once, emitting a ``parallel.pool_rebuilt`` telemetry event
-and counter so operators can see churn.
+pool before returning it (the executor's broken and shutdown flags)
+and rebuilds a broken pool once, emitting a ``parallel.pool_rebuilt``
+telemetry event and counter so operators can see churn.
 
 A pool that breaks *mid-call* is still dropped by the caller via
 :func:`drop_pool` so the next request builds a fresh one;
@@ -27,7 +26,6 @@ own cached pool and switching between them is safe.
 from __future__ import annotations
 
 import atexit
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 from ..telemetry.metrics import METRICS
@@ -37,42 +35,22 @@ __all__ = ["get_pool", "drop_pool", "pool_is_healthy", "shutdown_pools"]
 
 _POOLS: dict[int, ProcessPoolExecutor] = {}
 
-#: Wall-clock budget for one active probe round-trip.  Generous: the
-#: probe only pays this on a pool that is wedged, not merely busy.
-PROBE_TIMEOUT_S = 10.0
 
+def pool_is_healthy(pool: ProcessPoolExecutor) -> bool:
+    """Whether ``pool`` can still accept work.
 
-def _probe_task() -> int:  # pragma: no cover - runs in the worker
-    """Trivial round-trip payload for the active health probe."""
-    return os.getpid()
-
-
-def pool_is_healthy(
-    pool: ProcessPoolExecutor, *, probe: bool = False,
-) -> bool:
-    """Whether ``pool`` can still accept and complete work.
-
-    The passive check reads the executor's broken/shutdown flags —
-    free, but only sees failures the executor has already noticed.
-    With ``probe=True`` a trivial task is round-tripped through a
-    worker, which additionally catches pools whose children died
-    silently since the last submit.
+    Reads the executor's broken/shutdown flags — free, but only sees
+    failures the executor has already noticed; a pool that breaks
+    mid-call is caught by the executor's serial fallback instead.
     """
     if getattr(pool, "_broken", False):
         return False
     if getattr(pool, "_shutdown_thread", False):
         return False
-    if probe:
-        try:
-            pool.submit(_probe_task).result(timeout=PROBE_TIMEOUT_S)
-        except Exception:  # noqa: BLE001 - any failure means unhealthy
-            return False
     return True
 
 
-def get_pool(
-    workers: int, *, probe: bool = False,
-) -> ProcessPoolExecutor:
+def get_pool(workers: int) -> ProcessPoolExecutor:
     """The shared pool with ``workers`` processes (created on demand).
 
     A cached pool that fails its health check is shut down and rebuilt
@@ -80,7 +58,7 @@ def get_pool(
     eviction; the returned executor is always freshly verified-or-new.
     """
     pool = _POOLS.get(workers)
-    if pool is not None and not pool_is_healthy(pool, probe=probe):
+    if pool is not None and not pool_is_healthy(pool):
         drop_pool(workers)
         pool = None
         METRICS.counter("parallel.pool_rebuilt").inc()

@@ -15,8 +15,8 @@ The rest of the library *detects* broken outputs (the
   rerunning the matching algorithm.
 - :mod:`repro.resilience.runner`: ``resilient_matching()``, the
   run → verify → repair → retry → degrade loop that walks the ladder
-  match4 → match2 → match1 → sequential with bounded backoff and emits
-  a structured :class:`~repro.resilience.runner.AttemptLog`.
+  match4 → match2 → match1 → sequential and emits a structured
+  :class:`~repro.resilience.runner.AttemptLog`.
 
 CLI face: ``python -m repro resilience --crash-at ... --flip ...``.
 """

@@ -7,8 +7,8 @@ loop.  Each *attempt* runs one algorithm and verifies its output with
 :class:`~repro.errors.PRAMError` it first tries the cheap exit — the
 self-stabilizing :func:`repro.resilience.repair.repair_matching` pass
 on whatever (corrupted) tails the attempt produced — and only if that
-also fails does it burn a retry, backing off with bounded exponential
-delays, and eventually *degrades* down the ladder
+also fails does it burn a retry, and eventually *degrades* down the
+ladder
 
     match4  →  match2  →  match1  →  sequential
 
@@ -17,9 +17,10 @@ The sequential greedy baseline is the floor: a single dependent walk
 with nothing left to corrupt in scheduling.
 
 Every attempt is recorded in a structured :class:`AttemptLog`, so a
-production caller can see exactly which rungs failed, why, how long
-the backoff waited, and whether repair (rather than a rerun) saved the
-day.  Failures are injected via the ``perturb`` hook (tests, CLI
+production caller can see exactly which rungs failed, why, and whether
+repair (rather than a rerun) saved the day.  Retries never wait: the
+algorithms are deterministic, so a delay could not change the next
+attempt.  Failures are injected via the ``perturb`` hook (tests, CLI
 demos) or arise from real faults when the instruction-level tier runs
 under a :class:`repro.pram.faults.FaultPlan`.
 """
@@ -82,9 +83,6 @@ class Attempt:
         the local-repair pass), or ``"failed"``.
     error:
         ``"ExcType: message"`` for failed/repaired attempts.
-    backoff:
-        Seconds of (simulated or real) backoff charged *after* this
-        attempt failed.
     repair:
         Stats of the successful repair pass, when ``outcome ==
         "repaired"``.
@@ -97,7 +95,6 @@ class Attempt:
     outcome: str
     backend: str = "reference"
     error: str = ""
-    backoff: float = 0.0
     repair: RepairStats | None = None
 
 
@@ -127,10 +124,6 @@ class AttemptLog:
         return tuple(seen)
 
     @property
-    def total_backoff(self) -> float:
-        return sum(a.backoff for a in self.attempts)
-
-    @property
     def summary(self) -> str:
         """One line per attempt plus a verdict — CLI/log friendly."""
         lines = []
@@ -140,8 +133,6 @@ class AttemptLog:
                     f"try {a.try_index}): {a.outcome}")
             if a.error:
                 line += f" — {a.error}"
-            if a.backoff:
-                line += f" — backed off {a.backoff:.3f}s"
             lines.append(line)
         if self.engine_probe is not None:
             lines.append(
@@ -196,11 +187,6 @@ class ResilienceResult:
     def attempts(self) -> int:
         """Total run-and-verify attempts, successful one included."""
         return self.log.total
-
-
-def _backoff_delay(failures: int, base: float, cap: float) -> float:
-    """Bounded exponential backoff: ``min(base * 2^failures, cap)``."""
-    return min(base * (2.0 ** failures), cap)
 
 
 def _serve(
@@ -272,9 +258,6 @@ def resilient_matching(
     ladder: Sequence[str] = DEFAULT_LADDER,
     tries_per_rung: int = 2,
     repair: bool = True,
-    base_backoff: float = 0.01,
-    max_backoff: float = 1.0,
-    sleep: Callable[[float], None] | None = None,
     perturb: PerturbHook | None = None,
     p: int = 1,
     backend: str | None = None,
@@ -295,13 +278,6 @@ def resilient_matching(
     repair:
         Try the self-stabilizing local-repair pass on a failed
         attempt's tails before burning a retry.
-    base_backoff / max_backoff:
-        Bounded exponential backoff parameters (seconds).  Delays are
-        always *recorded* in the log; they are only *slept* when a
-        ``sleep`` callable is supplied, so tests and simulations stay
-        instant while production callers pass ``time.sleep``.
-    sleep:
-        Optional ``sleep(seconds)`` to actually wait out backoffs.
     perturb:
         Test/demo hook corrupting an attempt's tails before
         verification (see :data:`PerturbHook`).
@@ -351,7 +327,6 @@ def resilient_matching(
     kwargs = algorithm_kwargs or {}
     log = AttemptLog()
     index = 0
-    failures = 0
     with telemetry_span(
         "resilience.run", n=lst.n, backend=backend,
         ladder=",".join(ladder),
@@ -402,18 +377,14 @@ def resilient_matching(
                                           requested_backend=requested_backend)
                         except VerificationError:
                             pass
-                    delay = _backoff_delay(failures, base_backoff, max_backoff)
                     log.attempts.append(Attempt(
                         index=index, rung=rung, algorithm=algorithm,
                         try_index=try_index, outcome="failed",
-                        error=error, backoff=delay, backend=use_backend,
+                        error=error, backend=use_backend,
                     ))
                     _note_attempt(log.attempts[-1])
-                    if failures == 0:
+                    if log.engine_probe is None:
                         log.engine_probe = partition_engine_healthy(lst)
-                    failures += 1
-                    if sleep is not None:
-                        sleep(delay)
                 index += 1
         sp.set(outcome="exhausted", attempts=log.total)
         raise ResilienceExhaustedError(

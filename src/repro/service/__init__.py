@@ -25,7 +25,7 @@ Layers (each its own module):
 - :mod:`~repro.service.cache` — the LRU response cache on that
   identity;
 - :mod:`~repro.service.batcher` — bounded admission queue, the
-  micro-batcher, deadlines, retry/backoff, per-request degradation;
+  micro-batcher, deadlines, per-request degradation;
 - :mod:`~repro.service.server` — the HTTP/1.1 front, graceful drain,
   and the final RunRecord manifest;
 - :mod:`~repro.service.client` — the tiny asyncio client the tests

@@ -24,16 +24,14 @@ Two cooperating pieces, both owned by the event loop:
       *without computing*; an in-flight batch that outlives every
       member's deadline is abandoned (the thread finishes into the
       void) and its requests answered 504;
-    - **retry** — pool-infrastructure failures
-      (:data:`~repro.parallel.executor.POOL_ERRORS`) escaping the
-      executor's own serial fallback are retried with seeded-jitter
-      exponential backoff, at most ``max_retries`` times;
-    - **degrade** — an engine error (or exhausted retries) falls back
+    - **degrade** — any other failure of the batch call falls back
       *per request* through
       :func:`repro.resilience.resilient_matching` on the reference
       tier, so one poisoned workload degrades its own answer instead
       of failing the batch: accepted requests answer 200 or 504,
-      never 500, unless even the sequential floor fails.
+      never 500, unless even the sequential floor fails.  Pool
+      failures need no separate path: the sharded executor already
+      reruns a batch serially when its pool breaks.
 
 Every decision is counted in ``service.*`` metrics (always on — the
 process's own metrics are its operational surface; span emission
@@ -51,14 +49,12 @@ shard work under.
 from __future__ import annotations
 
 import asyncio
-import random
+import logging
 import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
 
-from ..errors import ReproError
-from ..parallel.executor import POOL_ERRORS
 from ..pram.cost import CostModel
 from ..telemetry.context import TraceContext, using_trace
 from ..telemetry.live import LiveAggregator
@@ -74,6 +70,8 @@ from .config import ServiceConfig
 from .workload import Workload
 
 __all__ = ["Entry", "PendingRequest", "AdmissionQueue", "MicroBatcher"]
+
+_log = logging.getLogger(__name__)
 
 #: Shed reasons (429) an :meth:`AdmissionQueue.try_admit` can return.
 SHED_QUEUE_FULL = "queue_full"
@@ -207,8 +205,8 @@ class MicroBatcher:
 
     ``batch_fn`` defaults to
     :func:`~repro.backends.batch.batch_maximal_matching`; tests inject
-    wrappers that fail on schedule to drive the retry and fallback
-    paths deterministically.  ``fallback_fn`` likewise defaults to
+    wrappers that fail on schedule to drive the fallback path
+    deterministically.  ``fallback_fn`` likewise defaults to
     :func:`repro.resilience.resilient_matching`.
     """
 
@@ -235,7 +233,6 @@ class MicroBatcher:
         self._batch_fn = batch_fn or batch_maximal_matching
         self._fallback_fn = fallback_fn or resilient_matching
         self._stopping = asyncio.Event()
-        self._rng = random.Random(config.seed)
         self._executor = None  # created lazily on the running loop
         #: Aggregate Brent account of everything computed, for the
         #: final manifest.
@@ -247,7 +244,6 @@ class MicroBatcher:
         self.served = 0
         self.timeouts = 0
         self.errors = 0
-        self.retries = 0
         self.engine_faults = 0
         self.degraded = 0
         self.deadline_shed = 0
@@ -266,8 +262,10 @@ class MicroBatcher:
         if self._executor is None:
             from concurrent.futures import ThreadPoolExecutor
 
+            # One thread: batches compute one at a time, in dispatch
+            # order.
             self._executor = ThreadPoolExecutor(
-                max_workers=self.config.compute_threads,
+                max_workers=1,
                 thread_name_prefix="repro-service-compute",
             )
         return self._executor
@@ -340,7 +338,12 @@ class MicroBatcher:
 
     def _finish(self, request: PendingRequest, status: int,
                 payload: dict[str, Any]) -> None:
-        """Resolve a request's future exactly once and release budget."""
+        """Release the request's byte budget and resolve its future,
+        each exactly once."""
+        # Release first: the server's grace timer may have cancelled
+        # the future already, but the bytes are still charged.
+        self.admission.release(request.admitted_bytes)
+        request.admitted_bytes = 0
         if request.future.done():
             return
         loop = asyncio.get_running_loop()
@@ -361,7 +364,6 @@ class MicroBatcher:
         self.observe_request(request.trace, request.ingress_at,
                              request.entries, single=request.single,
                              status=status, latency_ms=latency_ms)
-        self.admission.release(request.admitted_bytes)
         request.future.set_result((status, payload))
 
     def observe_request(self, trace: TraceContext | None,
@@ -473,90 +475,68 @@ class MicroBatcher:
         backend: str,
         pairs: list[tuple[PendingRequest, Entry]],
     ) -> None:
-        """One fused batch call (+ retry/fallback) for one group."""
+        """One fused batch call for one group; any failure other than
+        its deadline degrades every member request."""
         loop = asyncio.get_running_loop()
-        budget_end = max(request.deadline for request, _ in pairs)
         lists = [entry.workload.lst for _, entry in pairs]
         METRICS.histogram("service.batch.lists").observe(len(lists))
-        attempt = 0
-        while True:
-            remaining = budget_end - loop.time()
-            if remaining <= 0:
-                self._mark_timeout(pairs, stage="pre-dispatch")
-                return
-            fn = partial(
-                self._batch_fn, lists, algorithm=algorithm, backend=backend,
-                workers=self.config.workers, p=1,
-            )
-            try:
-                if telemetry_enabled():
-                    # One fused span serves every member request: simple
-                    # parentage cannot express that, so the span carries
-                    # each member's trace id in ``links`` (the key
-                    # request_trace_spans re-cuts the tree with), is
-                    # tagged with the first member's trace id, and hands
-                    # the compute thread an ambient context parenting
-                    # thread-root spans under it.
-                    links = tuple(sorted({
-                        req.trace.trace_id for req, _ in pairs
-                        if req.trace is not None
-                    }))
-                    with telemetry_span(
-                        "service.batch", algorithm=algorithm,
-                        backend=backend, lists=len(lists), attempt=attempt,
-                        links=links,
-                    ) as batch_span:
-                        ctx = None
-                        if links:
-                            batch_span.trace_id = links[0]
-                            ctx = TraceContext(links[0],
-                                               batch_span.span_id)
-                        result = await asyncio.wait_for(
-                            loop.run_in_executor(
-                                self._pool(),
-                                partial(_call_traced, ctx, fn)),
-                            remaining)
-                else:
+        remaining = max(request.deadline for request, _ in pairs) - loop.time()
+        if remaining <= 0:
+            self._mark_timeout(pairs)
+            return
+        fn = partial(
+            self._batch_fn, lists, algorithm=algorithm, backend=backend,
+            workers=self.config.workers, p=1,
+        )
+        try:
+            if telemetry_enabled():
+                # One fused span serves every member request: simple
+                # parentage cannot express that, so the span carries
+                # each member's trace id in ``links`` (the key
+                # request_trace_spans re-cuts the tree with), is tagged
+                # with the first member's trace id, and hands the
+                # compute thread an ambient context parenting
+                # thread-root spans under it.
+                links = tuple(sorted({
+                    req.trace.trace_id for req, _ in pairs
+                    if req.trace is not None
+                }))
+                with telemetry_span(
+                    "service.batch", algorithm=algorithm, backend=backend,
+                    lists=len(lists), links=links,
+                ) as batch_span:
+                    ctx = None
+                    if links:
+                        batch_span.trace_id = links[0]
+                        ctx = TraceContext(links[0], batch_span.span_id)
                     result = await asyncio.wait_for(
-                        loop.run_in_executor(self._pool(), fn), remaining)
-            except (asyncio.TimeoutError, TimeoutError):
-                # The worker thread is abandoned (a thread cannot be
-                # killed); its result is discarded on arrival.
-                METRICS.counter("service.deadline.inflight").inc()
-                self._mark_timeout(pairs, stage="in-flight")
-                return
-            except POOL_ERRORS as exc:
-                attempt += 1
-                self.retries += 1
-                METRICS.counter("service.retries").inc()
-                if telemetry_enabled():
-                    telemetry_event(
-                        "service.retry", attempt=attempt,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                if attempt > self.config.max_retries:
-                    await self._fallback(
-                        pairs, f"pool retries exhausted: {exc}")
-                    return
-                delay = min(
-                    self.config.base_backoff_s * (2.0 ** (attempt - 1)),
-                    self.config.max_backoff_s,
-                ) * (0.5 + self._rng.random())
-                await asyncio.sleep(
-                    min(delay, max(0.0, budget_end - loop.time())))
-                continue
-            except ReproError as exc:
-                self.engine_faults += 1
-                METRICS.counter("service.engine_faults").inc()
-                if telemetry_enabled():
-                    telemetry_event(
-                        "service.engine_fault", algorithm=algorithm,
-                        backend=backend,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                await self._fallback(pairs, f"{type(exc).__name__}: {exc}")
-                return
-            break
+                        loop.run_in_executor(
+                            self._pool(), partial(_call_traced, ctx, fn)),
+                        remaining)
+            else:
+                result = await asyncio.wait_for(
+                    loop.run_in_executor(self._pool(), fn), remaining)
+        except (asyncio.TimeoutError, TimeoutError):
+            # The worker thread is abandoned (a thread cannot be
+            # killed); its result is discarded on arrival.
+            METRICS.counter("service.deadline.inflight").inc()
+            self._mark_timeout(pairs)
+            return
+        except Exception as exc:  # noqa: BLE001 - degrade, never 500
+            # An engine error, or a pool failure that already failed
+            # the executor's serial rerun: the ladder answers instead.
+            self.engine_faults += 1
+            METRICS.counter("service.engine_faults").inc()
+            _log.warning("batch call failed; degrading %d list(s)",
+                         len(pairs), exc_info=True)
+            error = f"{type(exc).__name__}: {exc}"
+            if telemetry_enabled():
+                telemetry_event(
+                    "service.engine_fault", algorithm=algorithm,
+                    backend=backend, error=error,
+                )
+            await self._fallback(pairs, error)
+            return
         self.cost.absorb(result.report)
         for (request, entry), matching in zip(pairs, result.matchings):
             self.nodes_served += entry.workload.n
@@ -598,10 +578,9 @@ class MicroBatcher:
                     "service.degraded", served_by=served_by, cause=error,
                 )
 
-    def _mark_timeout(self, pairs, *, stage: str) -> None:
+    def _mark_timeout(self, pairs) -> None:
         for _, entry in pairs:
             entry.timed_out = True
-        _ = stage
 
     def _fill(self, entry: Entry, matching, *, served_by: str,
               degraded: bool) -> None:

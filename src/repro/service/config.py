@@ -54,11 +54,6 @@ class ServiceConfig:
         buffers more than this per connection.
     retry_after_s:
         Hint sent in ``Retry-After`` on 429/503 responses.
-    max_retries / base_backoff_s / max_backoff_s:
-        Jittered-exponential retry envelope around *pool* failures
-        (see :data:`repro.parallel.executor.POOL_ERRORS`).  Engine
-        errors skip retries and go straight to the per-request
-        resilience fallback.
     cache_size:
         LRU response-cache capacity in entries (0 disables caching).
     drain_deadline_s:
@@ -68,12 +63,6 @@ class ServiceConfig:
     manifest_path:
         Where the final RunRecord manifest is appended on drain
         (empty string: no manifest).
-    seed:
-        Seeds the backoff jitter — two runs of the same fault script
-        retry on the same schedule.
-    compute_threads:
-        Size of the thread pool the batcher dispatches compute into
-        (1 serializes batches, the deterministic default).
 
     Every float must be finite: NaN passes no ``<= 0`` check, and a
     NaN delay or deadline would reach the event loop as a timeout.
@@ -92,14 +81,9 @@ class ServiceConfig:
     max_deadline_ms: float = 30000.0
     max_request_bytes: int = 32 << 20
     retry_after_s: float = 1.0
-    max_retries: int = 2
-    base_backoff_s: float = 0.05
-    max_backoff_s: float = 1.0
     cache_size: int = 128
     drain_deadline_s: float = 5.0
     manifest_path: str = ""
-    seed: int = 0
-    compute_threads: int = 1
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -111,8 +95,7 @@ class ServiceConfig:
         positive = (
             "max_queue_depth", "max_inflight_bytes", "max_batch_items",
             "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
-            "max_request_bytes", "retry_after_s", "base_backoff_s",
-            "max_backoff_s", "drain_deadline_s", "compute_threads",
+            "max_request_bytes", "retry_after_s", "drain_deadline_s",
         )
         for name in positive:
             value = getattr(self, name)
@@ -120,10 +103,6 @@ class ServiceConfig:
                 raise InvalidParameterError(
                     f"{name} must be > 0, got {value}"
                 )
-        if self.max_retries < 0:
-            raise InvalidParameterError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
         if self.cache_size < 0:
             raise InvalidParameterError(
                 f"cache_size must be >= 0, got {self.cache_size}"

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import signal
 import time
 from typing import Any, Callable, NoReturn
@@ -57,6 +58,8 @@ from .config import ServiceConfig
 from .workload import WorkloadError, parse_workload
 
 __all__ = ["MatchingService", "HttpError"]
+
+_log = logging.getLogger(__name__)
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -220,6 +223,10 @@ class MatchingService:
             self.admission.draining = True
             self._drain_task = asyncio.get_running_loop().create_task(
                 self._drain(reason), name="repro-service-drain")
+            # Stopped even when a drain step raised: a signal must
+            # always end the process.
+            self._drain_task.add_done_callback(
+                lambda _task: self._stopped.set())
 
     async def drain(self, reason: str = "api") -> None:
         """Begin drain (if not begun) and wait for full shutdown."""
@@ -246,6 +253,10 @@ class MatchingService:
                 await self._batcher_task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
+        except Exception:  # noqa: BLE001 - the batcher task died
+            # Its requests can only be answered here, so drain goes on.
+            self.drain_outcome = "failed"
+            _log.error("micro-batcher task failed", exc_info=True)
         # Whatever is still queued or mid-flight gets a fast 503.
         while True:
             request = self.admission.get_nowait()
@@ -268,7 +279,6 @@ class MatchingService:
             self._server.close()
             await self._server.wait_closed()
         self._remove_signal_handlers()
-        self._stopped.set()
 
     def _write_manifest(self, reason: str) -> None:
         """Append the final ``kind="service"`` RunRecord (always built,
@@ -285,7 +295,6 @@ class MatchingService:
             p=1,
             time=int(report.time),
             work=int(report.work),
-            seed=cfg.seed,
             wall_s=uptime,
             phases=tuple(
                 (ph.name, int(ph.time), int(ph.work), int(ph.steps))
@@ -300,7 +309,6 @@ class MatchingService:
                 "timeouts": self.batcher.timeouts,
                 "errors": self.batcher.errors,
                 "deadline_shed": self.batcher.deadline_shed,
-                "retries": self.batcher.retries,
                 "engine_faults": self.batcher.engine_faults,
                 "degraded": self.batcher.degraded,
                 "batches": self.batcher.batches,
@@ -447,7 +455,6 @@ class MatchingService:
                 "batches": self.batcher.batches,
                 "timeouts": self.batcher.timeouts,
                 "errors": self.batcher.errors,
-                "retries": self.batcher.retries,
                 "degraded": self.batcher.degraded,
                 "deadline_shed": self.batcher.deadline_shed,
                 "engine_faults": self.batcher.engine_faults,

@@ -116,14 +116,14 @@ class Workload:
 
 
 def _parse_explicit(next_field: Any) -> tuple[LinkedList, tuple]:
+    # ``type`` and not ``isinstance``: JSON true is a bool, and numpy
+    # would silently coerce true, 1.7 and "1" to the integer 1.
+    if not isinstance(next_field, list) or set(map(type, next_field)) != {int}:
+        raise WorkloadError("'next' must be a non-empty array of integers")
     try:
         arr = np.asarray(next_field, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise WorkloadError(f"'next' is not an int64 array: {exc}") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise WorkloadError(
-            f"'next' must be a non-empty 1-d array, got shape {arr.shape}"
-        )
     try:
         lst = LinkedList(arr)
     except (InvalidListError, InvalidParameterError) as exc:

@@ -39,9 +39,8 @@ def _fresh_cache():
 class TestHealthCheck:
     def test_healthy_pool_is_reused(self):
         pool = get_pool(WORKERS)
-        assert pool_is_healthy(pool, probe=True)
+        assert pool_is_healthy(pool)
         assert get_pool(WORKERS) is pool
-        assert get_pool(WORKERS, probe=True) is pool
 
     def test_broken_pool_detected_passively(self):
         pool = get_pool(WORKERS)
@@ -53,12 +52,6 @@ class TestHealthCheck:
         pool.shutdown(wait=True)
         assert not pool_is_healthy(pool)
 
-    def test_probe_round_trips_through_worker(self):
-        pool = get_pool(WORKERS)
-        assert pool_is_healthy(pool, probe=True)
-        pool.shutdown(wait=True)
-        assert not pool_is_healthy(pool, probe=True)
-
 
 class TestRebuild:
     def test_broken_pool_rebuilt_once(self):
@@ -68,7 +61,7 @@ class TestRebuild:
 
         rebuilt = get_pool(WORKERS)
         assert rebuilt is not pool
-        assert pool_is_healthy(rebuilt, probe=True)
+        assert pool_is_healthy(rebuilt)
         assert METRICS.counter("parallel.pool_rebuilt").value == before + 1
 
         # The rebuilt pool is cached — no churn on the next request.

@@ -21,7 +21,9 @@ def run_service(config, scenario, **service_kwargs):
     """Start a service, run ``await scenario(service)``, always stop.
 
     ``scenario`` may itself drain the service (e.g. via SIGTERM); the
-    helper only drains if nothing else already did.
+    helper only drains if nothing else already did.  Shutdown gets the
+    drain deadline plus a few seconds, so a drain that never finishes
+    fails the test instead of hanging it.
     """
 
     async def main():
@@ -30,10 +32,9 @@ def run_service(config, scenario, **service_kwargs):
         try:
             return await scenario(service)
         finally:
-            if service._drain_task is None:
-                await service.drain(reason="test-teardown")
-            else:
-                await service.wait_stopped()
+            service.initiate_drain("test-teardown")  # no-op if draining
+            await asyncio.wait_for(service.wait_stopped(),
+                                   service.config.drain_deadline_s + 5.0)
 
     return asyncio.run(main())
 

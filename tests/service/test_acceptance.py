@@ -2,9 +2,10 @@
 
 A seeded burst larger than the admission limit is thrown at a live
 service whose engine misbehaves on schedule: one batch call raises a
-:class:`~repro.errors.VerificationError` (engine fault → per-request
-degradation through the resilience ladder) and one raises ``OSError``
-(pool-infrastructure failure → jittered retry).  The contract:
+:class:`~repro.errors.VerificationError` (an engine fault) and one
+raises ``OSError`` (a pool failure the executor's serial rerun did not
+absorb).  Both take the one failure path: per-request degradation
+through the resilience ladder.  The contract:
 
 - every *accepted* request answers 200 with a matching bit-identical
   to the reference tier — degraded or not, cached or not;
@@ -54,7 +55,6 @@ def _run_burst(tmp_path, *, use_cache: bool):
         port=0, max_queue_depth=4, max_batch_items=1,
         max_batch_delay_ms=2.0, default_deadline_ms=30000.0,
         drain_deadline_s=30.0, cache_size=32 if use_cache else 0,
-        max_retries=2, base_backoff_s=0.001, seed=0,
         manifest_path=str(manifest),
     )
     # Seeded burst: 16 concurrent requests against a depth-4 queue,
@@ -106,11 +106,10 @@ def _check_contract(specs, responses, replay, record, faults):
     # The injected faults actually fired and were survived.
     assert faults.calls >= 4
     extra = record["extra"]
-    assert extra["engine_faults"] >= 1
-    assert extra["retries"] >= 1
-    assert extra["degraded"] >= 1
+    assert extra["engine_faults"] >= 2
+    assert extra["degraded"] >= 2
     degraded = [resp for _, resp in served if resp.json()["degraded"]]
-    assert degraded, "the engine fault should degrade some response"
+    assert len(degraded) >= 2, "each injected fault degrades a response"
     for resp in degraded:
         assert resp.json()["served_by"]  # ladder rung is reported
 

@@ -1,16 +1,16 @@
 """The robustness contract, exercised end to end.
 
-The tests the issue demands by name:
-
 - SIGTERM drains queued requests before exit and rejects new ones;
 - a full admission queue sheds 429 + ``Retry-After`` without growing
   any internal buffer;
 - a request whose deadline expired while queued is never computed;
-- the acceptance scenario: a seeded burst exceeding the admission
-  limit with one injected engine fault and one injected pool failure
-  — every accepted request answers bit-identical to the reference
-  tier, shed requests get 429 + ``Retry-After``, nothing answers 500,
-  and SIGTERM drains cleanly with the final manifest written.
+- a batch call that fails in any way degrades its requests, and the
+  batcher goes on serving with its byte budget intact;
+- drain finishes, answers 503 and writes its manifest even when the
+  batcher task has died.
+
+The acceptance scenario (a faulty burst beyond the admission limit)
+lives in ``test_acceptance.py``.
 """
 
 import asyncio
@@ -18,6 +18,8 @@ import json
 import signal
 import threading
 import time
+
+import pytest
 
 from repro.backends.batch import batch_maximal_matching
 from repro.errors import VerificationError
@@ -29,8 +31,9 @@ from repro.service import (
     ServiceConfig,
     parse_workload,
 )
+from repro.service.client import get
 
-from .conftest import assert_bit_identical, match, run_service
+from .conftest import HOST, assert_bit_identical, match, run_service
 
 PARSE = dict(default_algorithm="match4", default_backend="numpy")
 
@@ -211,3 +214,102 @@ class TestDeadlines:
         assert doomed.status == 504
         assert "not computed" in doomed.json()["error"]
         assert 97 not in seen
+
+
+class FailFirstCall:
+    """``batch_fn`` that raises ``exc`` once, then computes."""
+
+    def __init__(self, exc):
+        self.exc = exc
+        self.calls = 0
+
+    def __call__(self, lists, **kwargs):
+        self.calls += 1
+        if self.calls == 1:
+            raise self.exc
+        return batch_maximal_matching(lists, **kwargs)
+
+
+class TestOneFailurePath:
+    @pytest.mark.parametrize("exc", [
+        RuntimeError("injected bug"),
+        MemoryError(),
+        OSError("injected pool failure"),
+        VerificationError("injected engine fault"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_failed_batch_call_degrades(self, exc):
+        first_spec = {"n": 64, "seed": 0}
+        next_spec = {"n": 96, "seed": 1}
+        config = ServiceConfig(port=0, max_batch_delay_ms=1.0,
+                               cache_size=0, drain_deadline_s=1.0)
+
+        async def scenario(service):
+            # Short client timeouts: a dead batcher fails the test here,
+            # not after the server's grace timer.
+            first = await match(service, first_spec, timeout=3.0)
+            after = await match(service, next_spec, timeout=3.0)
+            alive = not service._batcher_task.done()
+            ready = await get(HOST, service.port, "/readyz", timeout=3.0)
+            return first, after, alive, ready, service.batcher
+
+        first, after, alive, ready, batcher = run_service(
+            config, scenario, batch_fn=FailFirstCall(exc))
+        assert first.status == 200
+        assert first.json()["degraded"] is True
+        assert_bit_identical(first.json(), first_spec)
+        assert after.status == 200
+        assert after.json()["degraded"] is False
+        assert_bit_identical(after.json(), next_spec)
+        assert alive, "the batcher task died"
+        assert ready.json()["inflight_bytes"] == 0
+        assert (batcher.engine_faults, batcher.degraded) == (1, 1)
+
+
+async def _broken_dispatch(self, batch):
+    raise OSError("injected: no space left on device")
+
+
+class TestDrainAfterBatcherDied:
+    def test_drain_answers_503_and_writes_manifest(self, tmp_path,
+                                                   monkeypatch):
+        manifest = tmp_path / "runs.jsonl"
+        monkeypatch.setattr(MicroBatcher, "_dispatch", _broken_dispatch)
+        config = ServiceConfig(port=0, max_batch_delay_ms=1.0,
+                               cache_size=0, drain_deadline_s=1.0,
+                               manifest_path=str(manifest))
+
+        async def scenario(service):
+            pending = asyncio.create_task(
+                match(service, {"n": 64, "seed": 0}, timeout=5.0))
+            await asyncio.wait({service._batcher_task}, timeout=5.0)
+            assert service._batcher_task.done()
+            await asyncio.wait_for(service.drain(reason="test"), 5.0)
+            return await pending, service.drain_outcome
+
+        resp, outcome = run_service(config, scenario)
+        assert resp.status == 503
+        assert outcome == "failed"
+        record = json.loads(manifest.read_text().splitlines()[-1])
+        assert record["extra"]["drain"] == "failed"
+        assert record["extra"]["admitted"] == 1
+
+    def test_drain_stops_even_when_answering_fails(self, monkeypatch):
+        # A full disk under the span sink fails every answer too.
+        def full_disk(*args, **kwargs):
+            raise OSError("injected: no space left on device")
+
+        monkeypatch.setattr(MicroBatcher, "_dispatch", _broken_dispatch)
+        monkeypatch.setattr(MicroBatcher, "observe_request", full_disk)
+        config = ServiceConfig(port=0, max_batch_delay_ms=1.0,
+                               cache_size=0, drain_deadline_s=1.0)
+
+        async def scenario(service):
+            pending = asyncio.create_task(
+                match(service, {"n": 64, "seed": 0}, timeout=5.0))
+            await asyncio.wait({service._batcher_task}, timeout=5.0)
+            await asyncio.wait_for(service.drain(reason="test"), 5.0)
+            pending.cancel()
+            service._server.close()  # the failed drain never got there
+            return service._drain_task.exception()
+
+        assert isinstance(run_service(config, scenario), OSError)

@@ -124,6 +124,9 @@ class TestValidation:
             b'{"n": 32, "deadline_ms": -Infinity}',
             b'{"n": 32, "seed": NaN}',
             b'{"next": [1, 2, NaN]}',
+            b'{"next": [1.7, -1]}',
+            b'{"next": [true, -1]}',
+            b'{"next": ["1", -1]}',
             b'{"n": 32, "cache": "false"}',
             b'{"n": 32, "cache": 0}',
         ]

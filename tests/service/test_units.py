@@ -10,6 +10,7 @@ from repro.errors import InvalidParameterError
 from repro.service import (
     AdmissionQueue,
     Entry,
+    MicroBatcher,
     PendingRequest,
     ResponseCache,
     ServiceConfig,
@@ -35,8 +36,8 @@ class TestConfig:
         {"max_batch_delay_ms": -1.0},
         {"default_deadline_ms": 0.0},
         {"cache_size": -1},
-        {"max_retries": -1},
-        {"compute_threads": 0},
+        {"port": -1},
+        {"workers": 0},
         {"max_batch_delay_ms": float("nan")},
         {"default_deadline_ms": float("nan")},
         {"max_deadline_ms": float("inf")},
@@ -90,10 +91,21 @@ class TestWorkload:
         ({"n": 8, "seed": 1.5}, "'seed' must be an integer"),
         ({"n": 8, "seed": False}, "'seed' must be an integer"),
         ({"n": 64, "backend": REMOVED_BACKEND}, "unknown backend"),
+        ({"next": [1.7, -1]}, "array of integers"),
+        ({"next": [True, -1]}, "array of integers"),
+        ({"next": ["1", -1]}, "array of integers"),
     ])
     def test_malformed_rejected(self, body, msg):
         with pytest.raises(WorkloadError):
             parse_workload(body, **PARSE)
+
+    def test_next_takes_json_integers_only(self):
+        # 1.0 converts to int64 without loss and is refused all the
+        # same: the body must say what it means.
+        with pytest.raises(WorkloadError, match="array of integers"):
+            parse_workload({"next": [1.0, -1]}, **PARSE)
+        w = parse_workload({"next": [1, -1]}, **PARSE)
+        assert w.lst.next.tolist() == [1, -1]
 
     def test_unknown_backend_lists_the_remaining(self):
         with pytest.raises(WorkloadError) as exc:
@@ -189,3 +201,23 @@ class TestAdmission:
             assert admission.inflight_bytes == 0
 
         asyncio.run(scenario())
+
+    def test_cancelled_request_still_releases_its_bytes(self):
+        # The server's grace timer cancels the future of a request the
+        # batcher has not answered; answering it later must still
+        # return its admission bytes.
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            config = ServiceConfig()
+            admission = AdmissionQueue(config)
+            batcher = MicroBatcher(admission, config)
+            w = parse_workload({"n": 64}, **PARSE)
+            request = _request(loop, [w], deadline_s=-1.0)
+            assert admission.try_admit(request) is None
+            assert admission.inflight_bytes == 64 * 8
+            request.future.cancel()
+            await batcher._dispatch([admission.get_nowait()])
+            assert batcher.deadline_shed == 1  # answered as expired
+            return admission.inflight_bytes
+
+        assert asyncio.run(scenario()) == 0

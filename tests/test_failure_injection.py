@@ -273,19 +273,6 @@ class TestDegradationLadder:
             "match4", "match2", "match1", "sequential",
         )
 
-    def test_backoff_is_bounded_and_monotone(self):
-        from repro.resilience import resilient_matching
-
-        lst = random_list(96, rng=12)
-        result = resilient_matching(
-            lst, tries_per_rung=2, repair=False,
-            base_backoff=0.5, max_backoff=1.0,
-            perturb=self._failing_perturb(3),
-        )
-        delays = [a.backoff for a in result.log.attempts
-                  if a.outcome == "failed"]
-        assert delays == [0.5, 1.0, 1.0]  # capped at max_backoff
-
     def test_exhaustion_raises_with_history(self):
         from repro.errors import ResilienceExhaustedError
         from repro.resilience import resilient_matching
