@@ -519,7 +519,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue,
         max_inflight_bytes=int(args.max_inflight_mb * (1 << 20)),
         max_batch_items=args.max_batch_items,
-        max_batch_delay_ms=args.max_batch_delay_ms,
         default_deadline_ms=args.deadline_ms,
         cache_size=args.cache_size,
         drain_deadline_s=args.drain_deadline_s,
@@ -779,9 +778,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--max-inflight-mb", type=float, default=64.0,
                     help="in-flight workload bytes before shedding (429)")
     sv.add_argument("--max-batch-items", type=int, default=16,
-                    help="micro-batch size trigger")
-    sv.add_argument("--max-batch-delay-ms", type=float, default=5.0,
-                    help="micro-batch time trigger")
+                    help="most requests one micro-batch takes")
     sv.add_argument("--deadline-ms", type=float, default=1000.0,
                     help="default per-request deadline")
     sv.add_argument("--cache-size", type=int, default=128,

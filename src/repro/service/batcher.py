@@ -10,28 +10,26 @@ Two cooperating pieces, both owned by the event loop:
     overload degrades into fast rejections instead of memory growth.
 
 :class:`MicroBatcher`
-    A single background task that pulls admitted requests and
-    coalesces them for up to ``max_batch_delay_ms`` or
-    ``max_batch_items``, then dispatches each (algorithm, backend)
-    group through one
-    :func:`~repro.backends.batch.batch_maximal_matching` call in a
-    worker thread — many small client lists become one arena-fused
-    batch, the throughput form the paper's batch-of-lists framing
-    suggests.  Around that call sit the robustness layers, outermost
-    first:
+    A single background task that takes whatever queued while the
+    previous batch computed, up to ``max_batch_items`` and without
+    waiting for more, and dispatches each (algorithm, backend) group
+    through one :func:`~repro.backends.batch.batch_maximal_matching`
+    call in the one compute thread — many small client lists become
+    one arena-fused batch, the throughput form the paper's
+    batch-of-lists framing suggests.  Around that call sit the
+    robustness layers:
 
-    - **deadlines** — requests expired while queued are answered 504
-      *without computing*; an in-flight batch that outlives every
-      member's deadline is abandoned (the thread finishes into the
-      void) and its requests answered 504;
-    - **degrade** — any other failure of the batch call falls back
-      *per request* through
-      :func:`repro.resilience.resilient_matching` on the reference
-      tier, so one poisoned workload degrades its own answer instead
-      of failing the batch: accepted requests answer 200 or 504,
-      never 500, unless even the sequential floor fails.  Pool
-      failures need no separate path: the sharded executor already
-      reruns a batch serially when its pool breaks.
+    - **deadlines** — the server's handler answers 504 through
+      :meth:`MicroBatcher.expire` when a request's deadline passes;
+      requests expired while queued are never computed, and compute
+      already running finishes in the background;
+    - **degrade** — any failure of the batch call falls back *per
+      request* through :func:`repro.resilience.resilient_matching` on
+      the reference tier, so one poisoned workload degrades its own
+      answer instead of failing the batch: accepted requests answer
+      200 or 504, never 500, unless even the sequential floor fails.
+      Pool failures need no separate path: the sharded executor
+      already reruns a batch serially when its pool breaks.
 
 Every decision is counted in ``service.*`` metrics (always on — the
 process's own metrics are its operational surface; span emission
@@ -78,6 +76,9 @@ SHED_QUEUE_FULL = "queue_full"
 SHED_BYTES = "inflight_bytes"
 SHED_DRAINING = "draining"
 
+#: The 504 text of a request whose deadline passed before it was picked.
+EXPIRED_QUEUED = "deadline expired while queued (not computed)"
+
 
 @dataclass
 class Entry:
@@ -90,8 +91,6 @@ class Entry:
     cache: str = "off"
     #: Set instead of ``payload`` when this entry failed terminally.
     error: str = ""
-    #: True when the failure was a deadline (504), not an error (500).
-    timed_out: bool = False
 
 
 @dataclass(eq=False)  # identity semantics: requests live in sets
@@ -113,6 +112,8 @@ class PendingRequest:
     trace: TraceContext | None = None
     #: ``time.perf_counter()`` at HTTP ingress (the root span's start).
     ingress_at: float = 0.0
+    #: Set when the batcher takes the request off the admission queue.
+    picked: bool = False
 
     @property
     def nbytes(self) -> int:
@@ -124,8 +125,8 @@ class AdmissionQueue:
 
     ``depth`` counts requests admitted but not yet picked up by the
     batcher; ``inflight_bytes`` counts the pointer-arena bytes of
-    every admitted-and-unanswered request (queued *or* computing), so
-    the two limits together bound resident workload memory.
+    every admitted request until it is answered *and* off the queue,
+    so the two limits together bound resident workload memory.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
@@ -174,6 +175,7 @@ class AdmissionQueue:
     async def get(self) -> PendingRequest:
         request = await self._queue.get()
         self.picked()
+        request.picked = True
         return request
 
     def get_nowait(self) -> PendingRequest | None:
@@ -182,6 +184,7 @@ class AdmissionQueue:
         except asyncio.QueueEmpty:
             return None
         self.picked()
+        request.picked = True
         return request
 
     def empty(self) -> bool:
@@ -283,8 +286,7 @@ class MicroBatcher:
             first = await self._next_request()
             if first is None:
                 return
-            batch = await self._gather(first)
-            await self._dispatch(batch)
+            await self._dispatch(self._gather(first))
 
     async def _next_request(self) -> PendingRequest | None:
         """Next queued request; ``None`` when stopping with an empty
@@ -313,24 +315,14 @@ class MicroBatcher:
                 pass
             # Loop once more: get_nowait flushes whatever is queued.
 
-    async def _gather(self, first: PendingRequest) -> list[PendingRequest]:
-        """Coalesce queued requests behind ``first`` for the batch window."""
-        loop = asyncio.get_running_loop()
+    def _gather(self, first: PendingRequest) -> list[PendingRequest]:
+        """``first`` plus whatever queued behind it, up to
+        ``max_batch_items``; never waits for more."""
         batch = [first]
-        window_end = loop.time() + self.config.max_batch_delay_ms / 1000.0
         while len(batch) < self.config.max_batch_items:
             request = self.admission.get_nowait()
             if request is None:
-                if self.stopping:
-                    break
-                timeout = window_end - loop.time()
-                if timeout <= 0:
-                    break
-                try:
-                    request = await asyncio.wait_for(
-                        self.admission.get(), timeout)
-                except (asyncio.TimeoutError, TimeoutError):
-                    break
+                break
             batch.append(request)
         return batch
 
@@ -338,12 +330,13 @@ class MicroBatcher:
 
     def _finish(self, request: PendingRequest, status: int,
                 payload: dict[str, Any]) -> None:
-        """Release the request's byte budget and resolve its future,
-        each exactly once."""
-        # Release first: the server's grace timer may have cancelled
-        # the future already, but the bytes are still charged.
-        self.admission.release(request.admitted_bytes)
-        request.admitted_bytes = 0
+        """Release the request's byte budget once it is off the queue;
+        resolve its future, count the answer and emit its span, each
+        exactly once: the first of the batcher, :meth:`expire` and
+        drain to answer wins."""
+        if request.picked:  # even when already answered or cancelled
+            self.admission.release(request.admitted_bytes)
+            request.admitted_bytes = 0
         if request.future.done():
             return
         loop = asyncio.get_running_loop()
@@ -416,30 +409,37 @@ class MicroBatcher:
     def _respond(self, request: PendingRequest) -> None:
         """Shape the final response from the request's filled entries."""
         payloads = []
-        worst_timeout = False
         worst_error = ""
         for entry in request.entries:
             if entry.payload is not None:
                 payloads.append({**entry.payload, "cache": entry.cache})
-            elif entry.timed_out:
-                worst_timeout = True
             else:
                 worst_error = entry.error or "internal error"
         if worst_error:
             self._finish(request, 500, {"error": worst_error})
-        elif worst_timeout:
-            self._finish(request, 504, {"error": "deadline exceeded"})
         elif request.single:
             self._finish(request, 200, payloads[0])
         else:
             self._finish(request, 200, {"results": payloads})
 
     def _shed_expired(self, request: PendingRequest) -> None:
-        self.deadline_shed += 1
-        METRICS.counter("service.deadline.queued").inc()
-        self._finish(request, 504, {
-            "error": "deadline expired while queued (not computed)",
-        })
+        """504 a request whose deadline passed while queued, uncomputed;
+        counted by the first to answer it, :meth:`expire` or
+        :meth:`_dispatch` (a cancelled future was answered by neither)."""
+        future = request.future
+        if not future.done() or future.cancelled():
+            self.deadline_shed += 1
+            METRICS.counter("service.deadline.queued").inc()
+        self._finish(request, 504, {"error": EXPIRED_QUEUED})
+
+    def expire(self, request: PendingRequest) -> None:
+        """Answer ``request`` 504 at its deadline (the server's handler
+        calls this)."""
+        if request.picked:
+            METRICS.counter("service.deadline.inflight").inc()
+            self._finish(request, 504, {"error": "deadline exceeded"})
+        else:
+            self._shed_expired(request)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -475,53 +475,41 @@ class MicroBatcher:
         backend: str,
         pairs: list[tuple[PendingRequest, Entry]],
     ) -> None:
-        """One fused batch call for one group; any failure other than
-        its deadline degrades every member request."""
+        """One fused batch call for one group; any failure degrades
+        every member request."""
+        # Members answered at their deadline while an earlier group
+        # computed are not computed.
+        pairs = [(req, entry) for req, entry in pairs
+                 if not req.future.done()]
+        if not pairs:
+            return
         loop = asyncio.get_running_loop()
         lists = [entry.workload.lst for _, entry in pairs]
         METRICS.histogram("service.batch.lists").observe(len(lists))
-        remaining = max(request.deadline for request, _ in pairs) - loop.time()
-        if remaining <= 0:
-            self._mark_timeout(pairs)
-            return
         fn = partial(
             self._batch_fn, lists, algorithm=algorithm, backend=backend,
             workers=self.config.workers, p=1,
         )
+        # One fused span serves every member request: simple parentage
+        # cannot express that, so the span carries each member's trace
+        # id in ``links`` (the key request_trace_spans re-cuts the tree
+        # with), is tagged with the first member's trace id, and hands
+        # the compute thread an ambient context parenting thread-root
+        # spans under it.
+        links = tuple(sorted({
+            req.trace.trace_id for req, _ in pairs if req.trace is not None
+        })) if telemetry_enabled() else ()
         try:
-            if telemetry_enabled():
-                # One fused span serves every member request: simple
-                # parentage cannot express that, so the span carries
-                # each member's trace id in ``links`` (the key
-                # request_trace_spans re-cuts the tree with), is tagged
-                # with the first member's trace id, and hands the
-                # compute thread an ambient context parenting
-                # thread-root spans under it.
-                links = tuple(sorted({
-                    req.trace.trace_id for req, _ in pairs
-                    if req.trace is not None
-                }))
-                with telemetry_span(
-                    "service.batch", algorithm=algorithm, backend=backend,
-                    lists=len(lists), links=links,
-                ) as batch_span:
-                    ctx = None
-                    if links:
-                        batch_span.trace_id = links[0]
-                        ctx = TraceContext(links[0], batch_span.span_id)
-                    result = await asyncio.wait_for(
-                        loop.run_in_executor(
-                            self._pool(), partial(_call_traced, ctx, fn)),
-                        remaining)
-            else:
-                result = await asyncio.wait_for(
-                    loop.run_in_executor(self._pool(), fn), remaining)
-        except (asyncio.TimeoutError, TimeoutError):
-            # The worker thread is abandoned (a thread cannot be
-            # killed); its result is discarded on arrival.
-            METRICS.counter("service.deadline.inflight").inc()
-            self._mark_timeout(pairs)
-            return
+            with telemetry_span(
+                "service.batch", algorithm=algorithm, backend=backend,
+                lists=len(lists), links=links,
+            ) as batch_span:
+                ctx = None
+                if links:
+                    batch_span.trace_id = links[0]
+                    ctx = TraceContext(links[0], batch_span.span_id)
+                result = await loop.run_in_executor(
+                    self._pool(), partial(_call_traced, ctx, fn))
         except Exception as exc:  # noqa: BLE001 - degrade, never 500
             # An engine error, or a pool failure that already failed
             # the executor's serial rerun: the ladder answers instead.
@@ -546,21 +534,14 @@ class MicroBatcher:
         """Per-request degradation: reference-tier resilience ladder."""
         loop = asyncio.get_running_loop()
         for request, entry in pairs:
-            remaining = request.deadline - loop.time()
-            if remaining <= 0:
-                entry.timed_out = True
-                continue
+            if request.future.done():
+                continue  # answered at its deadline
             fn = partial(
                 self._fallback_fn, entry.workload.lst, backend="reference",
                 p=1,
             )
             try:
-                res = await asyncio.wait_for(
-                    loop.run_in_executor(self._pool(), fn), remaining)
-            except (asyncio.TimeoutError, TimeoutError):
-                METRICS.counter("service.deadline.inflight").inc()
-                entry.timed_out = True
-                continue
+                res = await loop.run_in_executor(self._pool(), fn)
             except Exception as exc:  # noqa: BLE001 - the ladder's floor
                 entry.error = (
                     f"degraded path failed after {error}: "
@@ -577,10 +558,6 @@ class MicroBatcher:
                 telemetry_event(
                     "service.degraded", served_by=served_by, cause=error,
                 )
-
-    def _mark_timeout(self, pairs) -> None:
-        for _, entry in pairs:
-            entry.timed_out = True
 
     def _fill(self, entry: Entry, matching, *, served_by: str,
               degraded: bool) -> None:

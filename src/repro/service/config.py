@@ -43,9 +43,9 @@ class ServiceConfig:
         Admission bound on the summed node-arena bytes of queued plus
         in-compute requests (8 bytes per node).
     max_batch_items:
-        The micro-batcher dispatches once it holds this many requests.
-    max_batch_delay_ms:
-        ... or once the oldest queued request has waited this long.
+        The most requests one micro-batch takes.  The batcher never
+        waits to fill a batch: it takes what queued while the previous
+        batch computed.
     default_deadline_ms / max_deadline_ms:
         Per-request deadline when the client sends none, and the cap
         on what a client may ask for.
@@ -65,7 +65,7 @@ class ServiceConfig:
         (empty string: no manifest).
 
     Every float must be finite: NaN passes no ``<= 0`` check, and a
-    NaN delay or deadline would reach the event loop as a timeout.
+    NaN deadline would reach the event loop as a timeout.
     """
 
     host: str = "127.0.0.1"
@@ -76,7 +76,6 @@ class ServiceConfig:
     max_queue_depth: int = 64
     max_inflight_bytes: int = 64 << 20
     max_batch_items: int = 16
-    max_batch_delay_ms: float = 5.0
     default_deadline_ms: float = 1000.0
     max_deadline_ms: float = 30000.0
     max_request_bytes: int = 32 << 20
@@ -94,8 +93,8 @@ class ServiceConfig:
                 )
         positive = (
             "max_queue_depth", "max_inflight_bytes", "max_batch_items",
-            "max_batch_delay_ms", "default_deadline_ms", "max_deadline_ms",
-            "max_request_bytes", "retry_after_s", "drain_deadline_s",
+            "default_deadline_ms", "max_deadline_ms", "max_request_bytes",
+            "retry_after_s", "drain_deadline_s",
         )
         for name in positive:
             value = getattr(self, name)

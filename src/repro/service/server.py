@@ -27,14 +27,16 @@ The response contract the robustness machinery guarantees: an
 *accepted* request is answered 200 (possibly ``"degraded": true``) or
 504 (its deadline passed) — never 500; a request that cannot be
 accepted is answered immediately with 429 (overload) or 503
-(draining), both carrying ``Retry-After``.
+(draining), both carrying ``Retry-After``.  The request's deadline is
+the one timer on its answer.
 
 On SIGTERM/SIGINT the service **drains**: stops admitting, lets the
 micro-batcher flush the queue for up to ``drain_deadline_s``, answers
 whatever is left 503, appends one ``kind="service"`` RunRecord (the
 aggregate Brent account of everything computed plus the full
 admission/shed/cache ledger) to the manifest, shuts worker pools down,
-and exits.
+and exits.  A batcher task that dies starts the same drain at once
+(outcome ``failed``, and :meth:`MatchingService.run` returns 1).
 """
 
 from __future__ import annotations
@@ -201,6 +203,10 @@ class MatchingService:
         self.started_at = time.monotonic()
         self._batcher_task = asyncio.create_task(
             self.batcher.run(), name="repro-service-batcher")
+        # A batcher that ends while serving has died: drain at once.
+        # (A normal stop ends it while draining: then this is a no-op.)
+        self._batcher_task.add_done_callback(
+            lambda _task: self.initiate_drain("batcher-failed"))
         METRICS.gauge("service.up").set(1)
 
     def install_signal_handlers(self) -> None:
@@ -327,7 +333,8 @@ class MatchingService:
             append_record(cfg.manifest_path, record)
 
     def run(self) -> int:
-        """Blocking entry for ``repro serve``: serve until signalled."""
+        """Blocking entry for ``repro serve``: serve until signalled;
+        1 when the batcher task died, else 0."""
         async def main() -> None:
             await self.start()
             self.install_signal_handlers()
@@ -339,7 +346,7 @@ class MatchingService:
             asyncio.run(main())
         except KeyboardInterrupt:  # pragma: no cover - direct ^C race
             pass
-        return 0
+        return 1 if self.drain_outcome == "failed" else 0
 
     # -- connection handling -----------------------------------------------
 
@@ -584,14 +591,11 @@ class MatchingService:
         self._outstanding.add(request)
         request.future.add_done_callback(
             lambda _f: self._outstanding.discard(request))
-        try:
-            # The batcher resolves every admitted future; the extra
-            # grace only guards against a crashed batcher task.
-            status, payload = await asyncio.wait_for(
-                request.future,
-                deadline_ms / 1000.0 + self.config.drain_deadline_s + 10.0,
-            )
-        except (asyncio.TimeoutError, TimeoutError):  # pragma: no cover
-            METRICS.counter("service.errors").inc()
-            return 500, {"error": "internal: batcher unresponsive"}
-        return status, payload
+        # The deadline is the request's one timer.  ``asyncio.wait``
+        # never cancels the future, so the batcher's answer after a
+        # 504 given here is a no-op, and its compute runs to the end.
+        await asyncio.wait((request.future,),
+                           timeout=request.deadline - loop.time())
+        if not request.future.done():
+            self.batcher.expire(request)
+        return request.future.result()

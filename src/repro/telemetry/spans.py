@@ -29,6 +29,7 @@ ambient lookup happens only while telemetry is enabled.
 from __future__ import annotations
 
 import itertools
+import logging
 import os
 import time
 from typing import Any
@@ -49,6 +50,8 @@ __all__ = [
     "get_tracer",
     "current_span",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 class Span:
@@ -133,6 +136,7 @@ class Tracer:
         self.sink = sink
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
+        self._sink_failed = False
 
     def _inherit(self) -> tuple[int | None, str | None]:
         """Parent id and trace id for a new span: stack first, then the
@@ -159,7 +163,7 @@ class Tracer:
         sp = Span(name, next(self._ids), parent, now, attributes, self,
                   trace_id)
         sp.end = now
-        self.sink.emit_span(sp)
+        self._emit(sp)
         return sp
 
     def current(self) -> Span | None:
@@ -182,7 +186,7 @@ class Tracer:
         locally finished span, but never touches the live span stack.
         """
         METRICS.histogram(f"span.{sp.name}.seconds").observe(sp.duration)
-        self.sink.emit_span(sp)
+        self._emit(sp)
 
     def _finish(self, sp: Span) -> None:
         sp.end = time.perf_counter()
@@ -192,7 +196,20 @@ class Tracer:
             if self._stack.pop() is sp:
                 break
         METRICS.histogram(f"span.{sp.name}.seconds").observe(sp.duration)
-        self.sink.emit_span(sp)
+        self._emit(sp)
+
+    def _emit(self, sp: Span) -> None:
+        """Hand ``sp`` to the sink.  A sink that raises (a full disk)
+        never takes the caller down: the span is dropped and counted,
+        and the first failure is logged."""
+        try:
+            self.sink.emit_span(sp)
+        except Exception:  # noqa: BLE001 - drop, count, keep running
+            METRICS.counter("telemetry.dropped").inc()
+            if not self._sink_failed:
+                self._sink_failed = True
+                _log.warning("telemetry sink failed; dropping spans",
+                             exc_info=True)
 
 
 _enabled = False

@@ -97,8 +97,7 @@ def test_service_auto_shares_the_explicit_cache_entry():
         return auto, explicit, again
 
     auto, explicit, again = run_service(
-        ServiceConfig(port=0, max_batch_delay_ms=1.0, cache_size=16),
-        scenario)
+        ServiceConfig(port=0, cache_size=16), scenario)
     assert auto.status == explicit.status == again.status == 200
     a, e, g = auto.json(), explicit.json(), again.json()
     assert a["backend"] == e["backend"] == g["backend"] == "numpy"

@@ -7,14 +7,52 @@ and does not need one).
 """
 
 import asyncio
+import threading
+import time
 
 import numpy as np
 
 import repro
+from repro.backends.batch import batch_maximal_matching
 from repro.service import MatchingService
 from repro.service.client import post_json
 
 HOST = "127.0.0.1"
+
+
+class GatedBatch:
+    """``batch_fn`` that holds each of its first ``held`` calls until
+    :meth:`release`.
+
+    The service computes on one thread, so requests sent while a call
+    is held queue up and fuse into the next call: tests get a batch of
+    their choosing without any timer.  ``calls`` records each call's
+    list sizes.
+    """
+
+    def __init__(self, held=1):
+        self.calls = []
+        self._gates = [threading.Event() for _ in range(held)]
+
+    def __call__(self, lists, **kwargs):
+        k = len(self.calls)
+        self.calls.append([lst.n for lst in lists])
+        if k < len(self._gates):
+            self._gates[k].wait(timeout=30)
+        return batch_maximal_matching(lists, **kwargs)
+
+    def release(self, k=None):
+        """Open gate ``k``, or every gate."""
+        for gate in self._gates if k is None else [self._gates[k]]:
+            gate.set()
+
+
+async def until(predicate, timeout=3.0):
+    """Poll ``predicate`` until it holds; fail after ``timeout`` s."""
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, "condition not reached in time"
+        await asyncio.sleep(0.002)
 
 
 def run_service(config, scenario, **service_kwargs):

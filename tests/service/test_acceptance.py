@@ -53,9 +53,8 @@ def _run_burst(tmp_path, *, use_cache: bool):
     # deterministically.  Coalescing itself is covered elsewhere.
     config = ServiceConfig(
         port=0, max_queue_depth=4, max_batch_items=1,
-        max_batch_delay_ms=2.0, default_deadline_ms=30000.0,
-        drain_deadline_s=30.0, cache_size=32 if use_cache else 0,
-        manifest_path=str(manifest),
+        default_deadline_ms=30000.0, drain_deadline_s=30.0,
+        cache_size=32 if use_cache else 0, manifest_path=str(manifest),
     )
     # Seeded burst: 16 concurrent requests against a depth-4 queue,
     # with repeated (n, layout, seed) specs so the cache sees reuse.

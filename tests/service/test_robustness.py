@@ -3,11 +3,15 @@
 - SIGTERM drains queued requests before exit and rejects new ones;
 - a full admission queue sheds 429 + ``Retry-After`` without growing
   any internal buffer;
-- a request whose deadline expired while queued is never computed;
+- a request whose deadline expired while queued is never computed, and
+  its bytes stay charged until the batcher takes it off the queue;
+- a request's deadline is the one timer on its answer: it is answered
+  504 when the deadline passes, whatever else its batch computes;
 - a batch call that fails in any way degrades its requests, and the
   batcher goes on serving with its byte budget intact;
-- drain finishes, answers 503 and writes its manifest even when the
-  batcher task has died.
+- a telemetry sink that fails never takes serving down;
+- a batcher task that dies drains the service at once: drain answers
+  503 and writes its manifest, and ``run()`` returns 1.
 
 The acceptance scenario (a faulty burst beyond the admission limit)
 lives in ``test_acceptance.py``.
@@ -21,19 +25,29 @@ import time
 
 import pytest
 
+import repro.telemetry as telemetry
 from repro.backends.batch import batch_maximal_matching
 from repro.errors import VerificationError
 from repro.service import (
     AdmissionQueue,
     Entry,
+    MatchingService,
     MicroBatcher,
     PendingRequest,
     ServiceConfig,
     parse_workload,
 )
 from repro.service.client import get
+from repro.telemetry import METRICS, Sink
 
-from .conftest import HOST, assert_bit_identical, match, run_service
+from .conftest import (
+    HOST,
+    GatedBatch,
+    assert_bit_identical,
+    match,
+    run_service,
+    until,
+)
 
 PARSE = dict(default_algorithm="match4", default_backend="numpy")
 
@@ -49,7 +63,7 @@ class TestSigtermDrain:
             return batch_maximal_matching(lists, **kwargs)
 
         config = ServiceConfig(
-            port=0, max_batch_items=1, max_batch_delay_ms=1.0,
+            port=0, max_batch_items=1,
             default_deadline_ms=30000.0, drain_deadline_s=20.0,
             cache_size=0, manifest_path=str(manifest),
         )
@@ -100,8 +114,8 @@ class TestAdmissionShedding:
 
         config = ServiceConfig(
             port=0, max_queue_depth=2, max_batch_items=1,
-            max_batch_delay_ms=1.0, default_deadline_ms=30000.0,
-            drain_deadline_s=20.0, cache_size=0,
+            default_deadline_ms=30000.0, drain_deadline_s=20.0,
+            cache_size=0,
         )
 
         async def scenario(service):
@@ -152,7 +166,7 @@ class TestDeadlines:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            config = ServiceConfig(max_batch_delay_ms=1.0)
+            config = ServiceConfig()
             admission = AdmissionQueue(config)
             batcher = MicroBatcher(admission, config,
                                    batch_fn=recording_batch)
@@ -193,8 +207,8 @@ class TestDeadlines:
 
         config = ServiceConfig(
             port=0, max_queue_depth=4, max_batch_items=1,
-            max_batch_delay_ms=1.0, default_deadline_ms=30000.0,
-            drain_deadline_s=20.0, cache_size=0,
+            default_deadline_ms=30000.0, drain_deadline_s=20.0,
+            cache_size=0,
         )
 
         async def scenario(service):
@@ -214,6 +228,119 @@ class TestDeadlines:
         assert doomed.status == 504
         assert "not computed" in doomed.json()["error"]
         assert 97 not in seen
+
+    def test_deadline_answered_while_another_group_computes(self):
+        """A 100 ms request picked into a batch whose other group, a
+        30 s reference request, holds the compute thread: 504 at its
+        own deadline, and its list is never computed."""
+        gate = GatedBatch(held=2)
+        config = ServiceConfig(port=0, default_deadline_ms=30000.0,
+                               cache_size=0)
+
+        async def scenario(service):
+            admission = service.admission
+            try:
+                blocker = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 0}))
+                await until(lambda: len(gate.calls) == 1)
+                slow = asyncio.create_task(match(
+                    service, {"n": 64, "seed": 1, "backend": "reference"}))
+                await until(lambda: admission.depth == 1)
+                short = asyncio.create_task(match(
+                    service, {"n": 97, "seed": 2, "deadline_ms": 100},
+                    timeout=3.0))
+                await until(lambda: admission.depth == 2)
+                gate.release(0)  # next batch: the reference group first
+                resp = await short
+                held = len(gate.calls)
+            finally:
+                gate.release()
+            others = await asyncio.gather(blocker, slow)
+            return resp, held, others, service.batcher
+
+        resp, held, others, batcher = run_service(config, scenario,
+                                                  batch_fn=gate)
+        assert resp.status == 504
+        assert resp.json()["error"] == "deadline exceeded"
+        assert held == 2  # answered while the reference group computed
+        assert [r.status for r in others] == [200, 200]
+        assert (batcher.timeouts, batcher.errors) == (1, 0)
+        assert all(97 not in call for call in gate.calls)
+
+    def test_deadline_answered_while_its_batch_computes(self):
+        """A 100 ms request fused with a 30 s one: 504 at its own
+        deadline, not when their shared batch call returns."""
+        gate = GatedBatch(held=2)
+        config = ServiceConfig(port=0, default_deadline_ms=30000.0,
+                               cache_size=0)
+
+        async def scenario(service):
+            admission = service.admission
+            try:
+                blocker = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 0}))
+                await until(lambda: len(gate.calls) == 1)
+                long = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 1}))
+                await until(lambda: admission.depth == 1)
+                start = time.monotonic()
+                short = asyncio.create_task(match(
+                    service, {"n": 97, "seed": 2, "deadline_ms": 100},
+                    timeout=3.0))
+                await until(lambda: admission.depth == 2)
+                gate.release(0)
+                resp = await short
+                took = time.monotonic() - start
+            finally:
+                gate.release()
+            others = await asyncio.gather(blocker, long)
+            return resp, took, others
+
+        resp, took, others = run_service(config, scenario, batch_fn=gate)
+        assert sorted(gate.calls[1]) == [64, 97]  # one fused call
+        assert resp.status == 504
+        assert resp.json()["error"] == "deadline exceeded"
+        assert took < 1.0
+        assert [r.status for r in others] == [200, 200]
+
+    def test_queued_request_answered_at_its_deadline_keeps_its_bytes(self):
+        """A request answered 504 while queued stays on the queue, and
+        charged, until the batcher takes it off uncomputed: the byte
+        budget still bounds what is resident."""
+        gate = GatedBatch()
+        # n = 64 lists are 512 bytes each: two fit the budget, three
+        # do not.
+        config = ServiceConfig(port=0, default_deadline_ms=30000.0,
+                               max_inflight_bytes=1200, cache_size=0)
+
+        async def scenario(service):
+            admission = service.admission
+            try:
+                blocker = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 0}))
+                await until(lambda: len(gate.calls) == 1)
+                expired = await match(
+                    service, {"n": 64, "seed": 1, "deadline_ms": 100},
+                    timeout=3.0)
+                counted = service.batcher.deadline_shed
+                shed = await match(service, {"n": 64, "seed": 2},
+                                   timeout=3.0)
+                held = admission.inflight_bytes
+            finally:
+                gate.release()
+            await blocker
+            await until(lambda: admission.inflight_bytes == 0)
+            return expired, counted, shed, held
+
+        expired, counted, shed, held = run_service(config, scenario,
+                                                   batch_fn=gate)
+        assert expired.status == 504
+        assert "not computed" in expired.json()["error"]
+        assert counted == 1  # counted when answered, not when picked
+        assert shed.status == 429
+        assert shed.json()["error"] == "request shed: inflight_bytes"
+        assert held == 2 * 512
+        assert len(gate.calls) == 1  # the expired list never computed
 
 
 class FailFirstCall:
@@ -240,12 +367,10 @@ class TestOneFailurePath:
     def test_failed_batch_call_degrades(self, exc):
         first_spec = {"n": 64, "seed": 0}
         next_spec = {"n": 96, "seed": 1}
-        config = ServiceConfig(port=0, max_batch_delay_ms=1.0,
-                               cache_size=0, drain_deadline_s=1.0)
+        config = ServiceConfig(port=0, cache_size=0, drain_deadline_s=1.0)
 
         async def scenario(service):
-            # Short client timeouts: a dead batcher fails the test here,
-            # not after the server's grace timer.
+            # Short client timeouts bound each wait.
             first = await match(service, first_spec, timeout=3.0)
             after = await match(service, next_spec, timeout=3.0)
             alive = not service._batcher_task.done()
@@ -265,6 +390,30 @@ class TestOneFailurePath:
         assert (batcher.engine_faults, batcher.degraded) == (1, 1)
 
 
+class FullDiskSink(Sink):
+    """A span sink on a full disk."""
+
+    def emit_span(self, span):
+        raise OSError(28, "No space left on device")
+
+
+class TestTelemetryFailure:
+    def test_failing_sink_does_not_stop_serving(self):
+        config = ServiceConfig(port=0, cache_size=0)
+
+        async def scenario(service):
+            resp = await match(service, {"n": 64}, timeout=3.0)
+            return resp, not service._batcher_task.done()
+
+        with telemetry.capture():
+            telemetry.configure(FullDiskSink())
+            resp, alive = run_service(config, scenario)
+            dropped = METRICS.counter("telemetry.dropped").value
+        assert resp.status == 200
+        assert alive, "the batcher task died"
+        assert dropped >= 1
+
+
 async def _broken_dispatch(self, batch):
     raise OSError("injected: no space left on device")
 
@@ -274,24 +423,22 @@ class TestDrainAfterBatcherDied:
                                                    monkeypatch):
         manifest = tmp_path / "runs.jsonl"
         monkeypatch.setattr(MicroBatcher, "_dispatch", _broken_dispatch)
-        config = ServiceConfig(port=0, max_batch_delay_ms=1.0,
-                               cache_size=0, drain_deadline_s=1.0,
+        config = ServiceConfig(port=0, cache_size=0, drain_deadline_s=1.0,
                                manifest_path=str(manifest))
 
         async def scenario(service):
-            pending = asyncio.create_task(
-                match(service, {"n": 64, "seed": 0}, timeout=5.0))
-            await asyncio.wait({service._batcher_task}, timeout=5.0)
-            assert service._batcher_task.done()
-            await asyncio.wait_for(service.drain(reason="test"), 5.0)
-            return await pending, service.drain_outcome
+            # The dead batcher starts the drain itself, at once.
+            resp = await match(service, {"n": 64, "seed": 0}, timeout=3.0)
+            await asyncio.wait_for(service.wait_stopped(), 3.0)
+            return resp, service.drain_outcome
 
         resp, outcome = run_service(config, scenario)
         assert resp.status == 503
         assert outcome == "failed"
-        record = json.loads(manifest.read_text().splitlines()[-1])
-        assert record["extra"]["drain"] == "failed"
-        assert record["extra"]["admitted"] == 1
+        extra = json.loads(manifest.read_text().splitlines()[-1])["extra"]
+        assert extra["drain"] == "failed"
+        assert extra["drain_reason"] == "batcher-failed"
+        assert extra["admitted"] == 1
 
     def test_drain_stops_even_when_answering_fails(self, monkeypatch):
         # A full disk under the span sink fails every answer too.
@@ -300,8 +447,7 @@ class TestDrainAfterBatcherDied:
 
         monkeypatch.setattr(MicroBatcher, "_dispatch", _broken_dispatch)
         monkeypatch.setattr(MicroBatcher, "observe_request", full_disk)
-        config = ServiceConfig(port=0, max_batch_delay_ms=1.0,
-                               cache_size=0, drain_deadline_s=1.0)
+        config = ServiceConfig(port=0, cache_size=0, drain_deadline_s=1.0)
 
         async def scenario(service):
             pending = asyncio.create_task(
@@ -313,3 +459,25 @@ class TestDrainAfterBatcherDied:
             return service._drain_task.exception()
 
         assert isinstance(run_service(config, scenario), OSError)
+
+    def test_run_returns_1_when_batcher_died(self, monkeypatch):
+        async def broken_run(self):
+            raise OSError("injected: batcher bug")
+
+        monkeypatch.setattr(MicroBatcher, "run", broken_run)
+        service = MatchingService(ServiceConfig(port=0))
+        install = service.install_signal_handlers
+
+        def install_and_bound():
+            # Bounds the test: a service still serving after 3 s is
+            # drained for another reason.
+            install()
+            asyncio.get_running_loop().call_later(
+                3.0, service.initiate_drain, "still-serving")
+
+        monkeypatch.setattr(service, "install_signal_handlers",
+                            install_and_bound)
+        assert service.run() == 1
+        extra = service.manifest_record.extra
+        assert (extra["drain"], extra["drain_reason"]) == \
+            ("failed", "batcher-failed")

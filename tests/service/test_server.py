@@ -8,7 +8,7 @@ from repro.service.client import get, post_json
 
 from .conftest import HOST, assert_bit_identical, match, run_service
 
-CFG = dict(port=0, max_batch_delay_ms=1.0, cache_size=16)
+CFG = dict(port=0, cache_size=16)
 
 
 class TestEndpoints:

@@ -21,9 +21,9 @@ from repro.telemetry import (
     request_trace_spans,
 )
 
-from .conftest import HOST, match, run_service
+from .conftest import HOST, GatedBatch, match, run_service, until
 
-CFG = dict(port=0, max_batch_delay_ms=1.0, cache_size=16)
+CFG = dict(port=0, cache_size=16)
 
 
 def traced_requests(specs, config=None, **service_kwargs):
@@ -114,37 +114,66 @@ class TestReconstructedTree:
         assert hit.attributes["single"] is True
 
     def test_fused_batch_links_every_member(self):
-        specs = [{"n": 64, "seed": s, "cache": False} for s in range(3)]
+        # No timer makes a batch: K requests queued behind a held
+        # compute call go out in the next batch call, together.
+        k = 3
+        gate = GatedBatch()
+        specs = [{"n": 64 + s, "seed": s, "cache": False} for s in range(k)]
 
         async def scenario(service):
-            return await asyncio.gather(
-                *(match(service, spec) for spec in specs))
+            try:
+                held = asyncio.create_task(
+                    match(service, {"n": 32, "cache": False}))
+                await until(lambda: len(gate.calls) == 1)
+                queued = [asyncio.create_task(match(service, spec))
+                          for spec in specs]
+                await until(lambda: service.admission.depth == k)
+            finally:
+                gate.release()
+            return await asyncio.gather(held, *queued)
 
-        cfg = dict(CFG, max_batch_delay_ms=50.0, max_batch_items=8)
         with telemetry.capture() as sink:
-            responses = run_service(ServiceConfig(**cfg), scenario)
+            _, *responses = run_service(
+                ServiceConfig(**CFG), scenario, batch_fn=gate)
+        assert [r.status for r in responses] == [200] * k
+        assert len(gate.calls) == 2
+        assert sorted(gate.calls[1]) == [spec["n"] for spec in specs]
         tids = {r.json()["trace_id"] for r in responses}
-        batch_spans = [s for s in sink.spans if s.name == "service.batch"]
-        linked = {tid for s in batch_spans
-                  for tid in s.attributes.get("links", ())}
-        assert tids <= linked
-        # every member's reconstruction reaches the shared batch span
+        # one service.batch span links all k members
+        [shared] = [s for s in sink.spans if s.name == "service.batch"
+                    and set(s.attributes["links"]) == tids]
+        # every member's reconstruction hangs the shared batch span
+        # under its own root
         for tid in tids:
-            names = {s.name for s in request_trace_spans(sink.spans, tid)}
-            assert "service.batch" in names
+            tree = request_trace_spans(sink.spans, tid)
+            [root] = [s for s in tree if s.name == "service.request"]
+            [batch] = [s for s in tree if s.name == "service.batch"]
+            assert batch.span_id == shared.span_id
+            assert batch.parent_id == root.span_id
 
     def test_workers2_shard_spans_reparent_into_request(self):
         cfg = dict(CFG, workers=2)
         specs = [{"n": 256, "seed": s, "cache": False} for s in range(4)]
+        gate = GatedBatch()
 
         async def scenario(service):
-            return await asyncio.gather(
-                *(match(service, spec) for spec in specs))
+            # The specs queue behind a held call, so they fuse into
+            # one batch, which two workers shard.
+            try:
+                held = asyncio.create_task(
+                    match(service, {"n": 64, "cache": False}))
+                await until(lambda: len(gate.calls) == 1)
+                queued = [asyncio.create_task(match(service, spec))
+                          for spec in specs]
+                await until(lambda: service.admission.depth == len(specs))
+            finally:
+                gate.release()
+            await held
+            return await asyncio.gather(*queued)
 
         with telemetry.capture() as sink:
             responses = run_service(
-                ServiceConfig(**dict(cfg, max_batch_delay_ms=50.0,
-                                     max_batch_items=8)), scenario)
+                ServiceConfig(**cfg), scenario, batch_fn=gate)
         assert all(r.status == 200 for r in responses)
         shard_spans = [s for s in sink.spans
                        if s.name.startswith("shard.")]
@@ -189,15 +218,28 @@ class TestDebugSurface:
         assert doc["service"]["draining"] is False
 
     def test_debug_vars_sees_sheds(self):
-        cfg = dict(CFG, max_queue_depth=1, max_batch_delay_ms=200.0)
+        cfg = dict(CFG, max_queue_depth=1)
+        gate = GatedBatch()
 
         async def scenario(service):
-            await asyncio.gather(
-                *(match(service, {"n": 64, "seed": s, "cache": False})
-                  for s in range(8)))
+            # While the first request holds the compute thread, one
+            # more fills the queue and the other six are shed.
+            admission = service.admission
+            try:
+                held = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 0, "cache": False}))
+                await until(lambda: len(gate.calls) == 1)
+                rest = [asyncio.create_task(
+                    match(service, {"n": 64, "seed": s, "cache": False}))
+                    for s in range(1, 8)]
+                await until(lambda: admission.admitted
+                            + sum(admission.shed_counts.values()) == 8)
+            finally:
+                gate.release()
+            await asyncio.gather(held, *rest)
             return await get(HOST, service.port, "/debug/vars")
 
-        resp = run_service(ServiceConfig(**cfg), scenario)
+        resp = run_service(ServiceConfig(**cfg), scenario, batch_fn=gate)
         live = resp.json()["live"]
         assert live["count"] == 8
         shed = (live["by_status"].get("429", 0)

@@ -33,12 +33,12 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         {"max_queue_depth": 0},
         {"max_batch_items": 0},
-        {"max_batch_delay_ms": -1.0},
+        {"max_inflight_bytes": 0},
         {"default_deadline_ms": 0.0},
         {"cache_size": -1},
         {"port": -1},
         {"workers": 0},
-        {"max_batch_delay_ms": float("nan")},
+        {"drain_deadline_s": float("nan")},
         {"default_deadline_ms": float("nan")},
         {"max_deadline_ms": float("inf")},
         {"retry_after_s": float("inf")},
@@ -203,9 +203,9 @@ class TestAdmission:
         asyncio.run(scenario())
 
     def test_cancelled_request_still_releases_its_bytes(self):
-        # The server's grace timer cancels the future of a request the
-        # batcher has not answered; answering it later must still
-        # return its admission bytes.
+        # A request whose future was cancelled before the batcher
+        # answered it must still return its admission bytes when it
+        # is answered.
         async def scenario():
             loop = asyncio.get_running_loop()
             config = ServiceConfig()

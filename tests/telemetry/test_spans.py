@@ -115,6 +115,24 @@ class TestRecording:
             snap = METRICS.snapshot()
         assert snap["span.timed.seconds"]["count"] == 1
 
+    def test_failing_sink_drops_counts_and_warns_once(self, caplog):
+        from repro.telemetry import METRICS
+
+        class FullDisk(InMemorySink):
+            def emit_span(self, span):
+                raise OSError(28, "No space left on device")
+
+        with capture():
+            configure(FullDisk())
+            with span("a"):
+                pass
+            event("b")
+            snap = METRICS.snapshot()
+        assert snap["telemetry.dropped"]["value"] == 2
+        warnings = [r for r in caplog.records
+                    if "telemetry sink failed" in r.getMessage()]
+        assert len(warnings) == 1
+
 
 class TestCapture:
     def test_capture_restores_disabled(self):
