@@ -32,9 +32,11 @@ from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .._util import as_index_array
 from ..bits.iterated_log import G
-from ..errors import InvalidParameterError, VerificationError
+from ..errors import InvalidListError, InvalidParameterError, VerificationError
 from ..lists.linked_list import NIL, LinkedList
+from ..lists.validation import each_is_one_path, validate_next_array
 from ..pram.cost import CostModel, CostReport
 from ..core.functions import max_label_after
 from ..core.match1 import CONSTANT_LABEL_BOUND
@@ -303,6 +305,29 @@ _BATCH_DRIVERS = {
 }
 
 
+def _as_lists(lists: Sequence[LinkedList | np.ndarray | list],
+              ) -> list[LinkedList]:
+    """The batch as :class:`LinkedList` objects.
+
+    The raw ``NEXT`` arrays among ``lists`` are checked together, as one
+    forest; ``LinkedList`` inputs are already valid.  A failing batch is
+    re-checked list by list, and the first bad list's own error is
+    raised, prefixed ``list {b}: ``.
+    """
+    lists = list(lists)
+    raw = {b: as_index_array(lst, name="NEXT")
+           for b, lst in enumerate(lists) if not isinstance(lst, LinkedList)}
+    if raw and not each_is_one_path(list(raw.values())):
+        for b, nxt in raw.items():
+            try:
+                validate_next_array(nxt)
+            except InvalidListError as exc:
+                raise InvalidListError(f"list {b}: {exc}") from None
+    for b, nxt in raw.items():
+        lists[b] = LinkedList(nxt, validate=False)
+    return lists
+
+
 def _validate_workers(workers: int | None) -> int:
     """The effective worker count: ``None`` is serial, else an int >= 1.
 
@@ -364,6 +389,11 @@ def batch_maximal_matching(
     Kwargs are normalized exactly as in :func:`repro.maximal_matching`
     (canonical names, deprecated aliases warned, unknown rejected).
 
+    Raw ``NEXT`` arrays are validated together, as one forest;
+    ``LinkedList`` inputs are not re-checked.  An invalid list raises
+    :class:`~repro.errors.InvalidListError` with its own message,
+    prefixed ``list {b}: `` (``b`` its index in ``lists``).
+
     Returns a :class:`BatchMatchResult` holding one verified
     :class:`Matching` per input list (in order), the aggregate
     :class:`CostReport`, and :class:`BatchStats`.
@@ -389,8 +419,7 @@ def batch_maximal_matching(
         )
     if p < 1:
         raise InvalidParameterError(f"p must be >= 1, got {p}")
-    lls = [lst if isinstance(lst, LinkedList) else LinkedList(lst)
-           for lst in lists]
+    lls = _as_lists(lists)
 
     extras: dict[str, Any] = {}
     if backend == AUTO:

@@ -16,7 +16,8 @@ parameter all experiments sweep.
   reversed layouts (all-forward / all-backward pointers), sawtooth and
   blocked layouts (stress the inter-/intra-row split of Match4).
 - :mod:`repro.lists.validation` — structural validation used at every
-  public entry point.
+  public entry point: one sparse-ruling-set check for lists, forests
+  and batches.
 """
 
 from .linked_list import NIL, LinkedList

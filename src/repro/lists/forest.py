@@ -8,9 +8,10 @@ at chosen positions).  The only global ingredient is the circular
 convention at each component's tail, which wraps to *that component's*
 head.
 
-:class:`Forest` validates the structure (every component a simple
-path; heads/tails discovered once at construction) and provides the
-per-component circular ``NEXT`` the iteration needs.
+:class:`Forest` validates the structure once at construction with
+:func:`~repro.lists.validation.path_components` (every component a
+simple path) and provides the per-component circular ``NEXT`` the
+iteration needs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .._util import as_index_array
 from ..errors import InvalidListError
 from .linked_list import NIL, LinkedList
+from .validation import path_components
 
 __all__ = ["Forest", "random_forest"]
 
@@ -34,49 +36,20 @@ class Forest:
     simple path, jointly covering all addresses).
     """
 
-    __slots__ = ("_next", "_pred", "_heads", "_tails", "_component",
-                 "_component_head")
+    __slots__ = ("_next", "_pred", "_heads", "_tails", "_component")
 
     def __init__(self, next_: Sequence[int] | np.ndarray) -> None:
         nxt = as_index_array(next_, name="NEXT")
         n = nxt.size
         if n == 0:
             raise InvalidListError("empty forest")
-        in_range = (nxt == NIL) | ((nxt >= 0) & (nxt < n))
-        if not np.all(in_range):
-            bad = int(np.flatnonzero(~in_range)[0])
-            raise InvalidListError(
-                f"NEXT[{bad}] = {int(nxt[bad])} is neither nil nor an address"
-            )
-        if np.any(nxt == np.arange(n)):
-            bad = int(np.flatnonzero(nxt == np.arange(n))[0])
-            raise InvalidListError(f"self-loop at node {bad}")
-        targets = nxt[nxt != NIL]
-        indegree = np.bincount(targets, minlength=n)
-        if np.any(indegree > 1):
-            bad = int(np.flatnonzero(indegree > 1)[0])
-            raise InvalidListError(
-                f"node {bad} has {int(indegree[bad])} predecessors"
-            )
-        heads = np.flatnonzero(indegree == 0)
-        tails = np.flatnonzero(nxt == NIL)
-        if heads.size != tails.size:
-            raise InvalidListError(
-                f"{heads.size} heads vs {tails.size} tails: a cycle exists"
-            )
-        # Walk every component once: discovers membership and rejects
-        # any leftover cycle (unreached nodes).
-        component = np.full(n, -1, dtype=np.int64)
-        for cid, h in enumerate(heads):
-            v = int(h)
-            while v != NIL:
-                component[v] = cid
-                v = int(nxt[v])
-        if np.any(component < 0):
-            bad = int(np.flatnonzero(component < 0)[0])
+        heads, component = path_components(nxt)
+        if component.min() < 0:
+            bad = int(np.argmax(component < 0))
             raise InvalidListError(
                 f"node {bad} is unreachable from any head: a cycle exists"
             )
+        tails = np.flatnonzero(nxt == NIL)
         pred = np.full(n, NIL, dtype=np.int64)
         live = np.flatnonzero(nxt != NIL)
         pred[nxt[live]] = live
@@ -90,9 +63,6 @@ class Forest:
         self._tails.setflags(write=False)
         self._component = component
         self._component.setflags(write=False)
-        comp_head = np.empty(heads.size, dtype=np.int64)
-        comp_head[np.arange(heads.size)] = heads
-        self._component_head = comp_head
 
     @classmethod
     def from_orders(cls, orders: Sequence[Sequence[int]]) -> "Forest":
@@ -160,7 +130,7 @@ class Forest:
         """``NEXT`` with every component's tail wired to *its* head."""
         nxt = self._next.copy()
         tail_nodes = np.flatnonzero(nxt == NIL)
-        nxt[tail_nodes] = self._component_head[self._component[tail_nodes]]
+        nxt[tail_nodes] = self._heads[self._component[tail_nodes]]
         return nxt
 
     def components(self) -> Iterator[LinkedList]:

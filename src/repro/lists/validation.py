@@ -1,8 +1,32 @@
 """Structural validation of ``NEXT`` pointer arrays.
 
 Every public algorithm entry point validates its input once, up front,
-so algorithm internals can assume a well-formed simple path.  The
-checks run vectorized in O(n).
+so algorithm internals can assume a well-formed simple path.  One
+check, :func:`path_components`, serves a single list (the one-component
+case), a :class:`~repro.lists.forest.Forest`, and a batch of lists laid
+end to end in one arena.
+
+Range and in-degree checks are single numpy passes; a self-loop shows
+up as a node with two predecessors or as a node no head reaches, so it
+is looked for only then.  Once every node has at most one predecessor,
+each component is a path or a cycle, and what is left to prove is
+reachability from the heads.  That is done by sparse-ruling-set
+contraction, the form of list ranking behind work-optimal list
+contraction (Han, *Uniform Linked Lists Contraction*,
+arXiv:2002.05034):
+
+- *rulers* are every head plus every :data:`K`-th address;
+- all ruler walks advance in lock-step, one gather per round, until
+  each reaches the next ruler or nil; once fewer than :data:`T` are
+  live, Python finishes them;
+- each node records the walk that reached it; a cycle that holds no
+  ruler is never reached, since its nodes' only predecessors are on it;
+- the non-head rulers, linked ruler to ruler, form the next level, in
+  which each head's successor ruler is a head; a level of at most
+  :data:`SMALL` nodes is walked in Python;
+- component ids come back down through each level's owner array.
+
+Each level has at most ``ceil(m / K)`` nodes, so the work is O(n).
 """
 
 from __future__ import annotations
@@ -12,9 +36,202 @@ import numpy as np
 from .._util import as_index_array
 from ..errors import InvalidListError
 
-__all__ = ["validate_next_array"]
+__all__ = ["each_is_one_path", "path_components", "validate_next_array"]
 
 NIL = -1
+
+#: Ruler spacing: every head and every ``K``-th address starts a walk
+#: (``K >= 2``, so each level is smaller than the last).
+K = 16
+#: Lock-step rounds stop once fewer than ``T`` walks are live; Python
+#: finishes those, so no layout costs many more numpy calls than a
+#: plain walk costs steps.
+T = 32
+#: A level of at most ``SMALL`` nodes is walked in Python
+#: (``SMALL >= 1``: a one-node cycle never contracts further).
+SMALL = 2048
+#: A level of fewer nodes keeps its step array in ``int32`` (entries
+#: stay below 2m), which halves the memory its gathers touch.
+INT32_LEVEL = 2**30
+
+
+def _check_range(next_: np.ndarray) -> None:
+    n = next_.size
+    if n and (int(next_.min()) < NIL or int(next_.max()) >= n):
+        bad = int(np.flatnonzero((next_ < NIL) | (next_ >= n))[0])
+        raise InvalidListError(
+            f"NEXT[{bad}] = {int(next_[bad])} is neither nil nor a valid "
+            f"address in [0, {n})"
+        )
+
+
+def path_components(next_) -> tuple[np.ndarray, np.ndarray]:
+    """Split ``next_`` into its components, proving which are paths.
+
+    Raises :class:`InvalidListError` for an entry that is neither nil
+    nor an address, a self-loop, or a node with two predecessors.
+    Otherwise returns ``(heads, component)``: the nodes without a
+    predecessor in ascending address order, and each node's component
+    id, an index into ``heads``, or ``-1`` for a node on a cycle (a
+    cycle has no head, so no head reaches it).
+    """
+    next_ = as_index_array(next_, name="NEXT")
+    _check_range(next_)
+    return _components(next_, int(np.count_nonzero(next_ == NIL)))
+
+
+def each_is_one_path(arrays: list[np.ndarray]) -> bool:
+    """Whether each ``int64`` array is one simple path over its own
+    nodes, as :func:`validate_next_array` requires.
+
+    The arrays are checked together: laid end to end in one arena, they
+    form a forest that is valid iff every node's component is its own
+    array's.
+    """
+    sizes = np.array([nxt.size for nxt in arrays], dtype=np.int64)
+    arena = np.empty(int(sizes.sum()), dtype=np.int64)
+    o = 0
+    try:
+        for nxt in arrays:
+            n = nxt.size
+            _check_range(nxt)
+            if n == 0 or np.count_nonzero(nxt == NIL) != 1:
+                return False
+            seg = arena[o:o + n]
+            seg[:] = nxt
+            seg[nxt != NIL] += o
+            o += n
+        _, component = _components(arena, len(arrays))
+    except InvalidListError:
+        return False
+    return bool(np.array_equal(
+        component, np.repeat(np.arange(sizes.size), sizes)))
+
+
+def _components(next_: np.ndarray,
+                nils: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`path_components` of a range-checked ``int64`` array with
+    ``nils`` nil entries."""
+    n = next_.size
+    # hit[v]: v has a predecessor; nil entries land in slot n.
+    hit = np.zeros(n + 1, dtype=bool)
+    hit[next_] = True
+    hit = hit[:n]
+    if np.count_nonzero(hit) != n - nils:
+        _check_self_loops(next_)
+        indegree = np.bincount(next_[next_ != NIL], minlength=n)
+        bad = int(np.argmax(indegree > 1))
+        raise InvalidListError(
+            f"node {bad} has {int(indegree[bad])} predecessors")
+    heads = np.flatnonzero(~hit)
+    del hit
+    component = _label(next_, heads, np.arange(heads.size, dtype=np.int64))
+    if n and int(component.min()) < 0:
+        # A self-loop's node has no other predecessor, so no head
+        # reaches it: only here can one hide.
+        _check_self_loops(next_)
+    return heads, component
+
+
+def _check_self_loops(next_: np.ndarray) -> None:
+    loops = next_ == np.arange(next_.size, dtype=np.int64)
+    if loops.any():
+        raise InvalidListError(f"self-loop at node {int(np.argmax(loops))}")
+
+
+def _label(nxt: np.ndarray, heads: np.ndarray,
+           labels: np.ndarray) -> np.ndarray:
+    """Each node's head label (``-1`` when no head reaches it) for one
+    level: ``nxt`` has in-degree at most 1 and ``heads`` are its
+    in-degree-0 nodes, ``labels`` their labels."""
+    m = nxt.size
+    if m <= SMALL:
+        return _walk(nxt, heads, labels)
+    # ``stop[v]``: a walk starts at v; slot m, read as ``stop[NIL]``,
+    # ends every walk at nil.
+    stop = np.zeros(m + 1, dtype=bool)
+    stop[:m:K] = True
+    stop[heads] = True
+    rulers = np.flatnonzero(stop)
+    stop[m] = True
+    # One step of a walk: the successor, or its complement where the
+    # walk ends (at a ruler, or at nil as ``~m``).  A walk overwrites
+    # each node it visits with ``m + r``, r being the walk's ruler
+    # index, so the array is also the owner array; slot m decodes to
+    # -1, nil.
+    step = np.empty(m + 1, dtype=np.int32 if m < INT32_LEVEL else np.int64)
+    step[:m] = nxt
+    step[m] = m - 1
+    ends = np.flatnonzero(stop[nxt])
+    del stop
+    last = step[ends]
+    last[last == NIL] = m
+    step[ends] = ~last
+    del ends, last
+    end = np.empty(rulers.size, dtype=np.int64)
+    reached = _advance(step, rulers, m, end)
+    # The next level: the non-head rulers, renumbered by ``rank``, each
+    # linked to the ruler its walk ended at (``end``, -1 at nil).
+    end = step[end] - np.int64(m)
+    head_ids = step[heads] - np.int64(m)
+    keep = np.ones(rulers.size, dtype=bool)
+    keep[head_ids] = False
+    kept = np.flatnonzero(keep)
+    rank = np.full(rulers.size + 1, NIL, dtype=np.int64)
+    rank[kept] = np.arange(kept.size, dtype=np.int64)
+    succ = end[head_ids]
+    starts = succ != NIL
+    ruler_label = np.full(rulers.size + 1, -1, dtype=np.int64)
+    ruler_label[head_ids] = labels
+    ruler_label[kept] = _label(rank[end[kept]], rank[succ[starts]],
+                               labels[starts])
+    owner = step[:m].astype(np.int64)
+    owner -= m
+    if reached < m:
+        # An unvisited node lies on a cycle without rulers, so it kept
+        # its step, a successor below m: map it to -1.
+        np.maximum(owner, -1, out=owner)
+    return ruler_label[owner]
+
+
+def _advance(step: np.ndarray, cur: np.ndarray, m: int,
+             end: np.ndarray) -> int:
+    """Run the walks that start at ``cur`` (ruler ``r`` at ``cur[r]``)
+    to their ends: mark each visited node ``m + r`` in ``step``, store
+    the address each walk ended at (``m`` for nil) in ``end``, and
+    return the number of visited nodes."""
+    ids = np.arange(m, m + cur.size, dtype=step.dtype)
+    reached = 0
+    while cur.size >= T:
+        nxt = step[cur]
+        step[cur] = ids
+        reached += cur.size
+        done = nxt < 0
+        if done.any():
+            end[ids[done] - m] = ~nxt[done]
+            live = ~done
+            nxt = nxt[live]
+            ids = ids[live]
+        cur = nxt.astype(np.intp)
+    sv, ev = memoryview(step), memoryview(end)
+    for v, r in zip(cur.tolist(), ids.tolist()):
+        while v >= 0:
+            sv[v], v = r, sv[v]
+            reached += 1
+        ev[r - m] = ~v
+    return reached
+
+
+def _walk(nxt: np.ndarray, heads: np.ndarray,
+          labels: np.ndarray) -> np.ndarray:
+    """Plain walks from every head: the base case of :func:`_label`."""
+    out = np.full(nxt.size, -1, dtype=np.int64)
+    sv, ov = memoryview(nxt), memoryview(out)
+    for v, label in zip(heads.tolist(), labels.tolist()):
+        while v >= 0:
+            ov[v] = label
+            v = sv[v]
+    return out
 
 
 def validate_next_array(next_: np.ndarray) -> int:
@@ -38,47 +255,16 @@ def validate_next_array(next_: np.ndarray) -> int:
     n = next_.size
     if n == 0:
         raise InvalidListError("empty NEXT array: a list needs >= 1 node")
-    in_range = (next_ == NIL) | ((next_ >= 0) & (next_ < n))
-    if not np.all(in_range):
-        bad = int(np.flatnonzero(~in_range)[0])
+    _check_range(next_)
+    nils = int(np.count_nonzero(next_ == NIL))
+    if nils != 1:
         raise InvalidListError(
-            f"NEXT[{bad}] = {int(next_[bad])} is neither nil nor a valid "
-            f"address in [0, {n})"
+            f"a simple path has exactly one nil pointer; found {nils}"
         )
-    tails = np.flatnonzero(next_ == NIL)
-    if tails.size != 1:
-        raise InvalidListError(
-            f"a simple path has exactly one nil pointer; found {tails.size}"
-        )
-    if np.any(next_ == np.arange(n, dtype=np.int64)):
-        bad = int(np.flatnonzero(next_ == np.arange(n))[0])
-        raise InvalidListError(f"self-loop at node {bad}")
-    targets = next_[next_ != NIL]
-    indegree = np.bincount(targets, minlength=n)
-    if np.any(indegree > 1):
-        bad = int(np.flatnonzero(indegree > 1)[0])
-        raise InvalidListError(f"node {bad} has {int(indegree[bad])} predecessors")
-    heads = np.flatnonzero(indegree == 0)
-    if heads.size != 1:
-        raise InvalidListError(
-            f"a simple path has exactly one head; found {heads.size} "
-            f"(disconnected cycle present)"
-        )
+    # One nil and injective successors leave exactly one head.
+    heads, component = _components(next_, nils)
     head = int(heads[0])
-    # Reachability: with one head, one tail, and injective successors,
-    # the only possible defect left is a separate cycle — but a cycle's
-    # nodes would all have indegree 1 and no nil, contradicting the
-    # unique-head/tail counts only if the cycle is disjoint from the
-    # path.  Count path length explicitly via pointer doubling to stay
-    # O(n log n)-safe... a simple rank walk is O(n) and simplest:
-    seen = 0
-    v = head
-    nxt = next_  # local alias
-    while v != NIL:
-        seen += 1
-        if seen > n:
-            raise InvalidListError("cycle detected while walking the list")
-        v = int(nxt[v])
+    seen = int(np.count_nonzero(component == 0))
     if seen != n:
         raise InvalidListError(
             f"path from head {head} covers {seen} of {n} nodes; "

@@ -49,6 +49,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -112,7 +113,8 @@ class PendingRequest:
     trace: TraceContext | None = None
     #: ``time.perf_counter()`` at HTTP ingress (the root span's start).
     ingress_at: float = 0.0
-    #: Set when the batcher takes the request off the admission queue.
+    #: Set when the request leaves the admission queue: the batcher or
+    #: drain picked it, or its deadline passed while it was queued.
     picked: bool = False
 
     @property
@@ -123,20 +125,25 @@ class PendingRequest:
 class AdmissionQueue:
     """Bounded request queue with explicit load shedding.
 
-    ``depth`` counts requests admitted but not yet picked up by the
-    batcher; ``inflight_bytes`` counts the pointer-arena bytes of
-    every admitted request until it is answered *and* off the queue,
-    so the two limits together bound resident workload memory.
+    ``depth`` counts the requests on the queue; ``inflight_bytes``
+    counts the pointer-arena bytes of every admitted request until it
+    is answered *and* off the queue, so the two limits together bound
+    resident workload memory.  A request leaves the queue when it is
+    picked, or through :meth:`remove` when its deadline passes first.
     """
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self.depth = 0
         self.inflight_bytes = 0
         self.draining = False
         self.admitted = 0
         self.shed_counts: dict[str, int] = {}
-        self._queue: asyncio.Queue[PendingRequest] = asyncio.Queue()
+        self._queue: deque[PendingRequest] = deque()
+        self._nonempty = asyncio.Event()
+
+    @property
+    def depth(self) -> int:
+        return len(self._queue)
 
     def try_admit(self, request: PendingRequest) -> str | None:
         """Admit ``request`` or return the shed reason (never blocks)."""
@@ -154,9 +161,9 @@ class AdmissionQueue:
             METRICS.counter(f"service.shed.{reason}").inc()
             return reason
         request.admitted_bytes = request.nbytes
-        self.depth += 1
         self.inflight_bytes += request.admitted_bytes
-        self._queue.put_nowait(request)
+        self._queue.append(request)
+        self._nonempty.set()
         self.admitted += 1
         METRICS.counter("service.accepted").inc()
         METRICS.gauge("service.queue_depth").set(self.depth)
@@ -168,27 +175,24 @@ class AdmissionQueue:
         self.inflight_bytes = max(0, self.inflight_bytes - nbytes)
         METRICS.gauge("service.inflight_bytes").set(self.inflight_bytes)
 
-    def picked(self) -> None:
-        self.depth = max(0, self.depth - 1)
-        METRICS.gauge("service.queue_depth").set(self.depth)
-
     async def get(self) -> PendingRequest:
-        request = await self._queue.get()
-        self.picked()
-        request.picked = True
-        return request
+        while not self._queue:
+            self._nonempty.clear()
+            await self._nonempty.wait()
+        return self._dequeued(self._queue.popleft())
 
     def get_nowait(self) -> PendingRequest | None:
-        try:
-            request = self._queue.get_nowait()
-        except asyncio.QueueEmpty:
-            return None
-        self.picked()
-        request.picked = True
-        return request
+        return self._dequeued(self._queue.popleft()) if self._queue else None
 
-    def empty(self) -> bool:
-        return self._queue.empty()
+    def remove(self, request: PendingRequest) -> None:
+        """Take ``request`` off the queue before the batcher picks it."""
+        self._queue.remove(request)
+        self._dequeued(request)
+
+    def _dequeued(self, request: PendingRequest) -> PendingRequest:
+        request.picked = True
+        METRICS.gauge("service.queue_depth").set(self.depth)
+        return request
 
 
 def _call_traced(ctx: TraceContext | None, fn: Callable[[], Any]) -> Any:
@@ -422,6 +426,13 @@ class MicroBatcher:
         else:
             self._finish(request, 200, {"results": payloads})
 
+    def _respond_if_served(self, request: PendingRequest) -> bool:
+        """Answer ``request`` if every entry is filled or failed."""
+        if any(e.payload is None and not e.error for e in request.entries):
+            return False
+        self._respond(request)
+        return True
+
     def _shed_expired(self, request: PendingRequest) -> None:
         """504 a request whose deadline passed while queued, uncomputed;
         counted by the first to answer it, :meth:`expire` or
@@ -434,11 +445,13 @@ class MicroBatcher:
 
     def expire(self, request: PendingRequest) -> None:
         """Answer ``request`` 504 at its deadline (the server's handler
-        calls this)."""
+        calls this).  A queued request leaves the queue first, so its
+        list is no longer resident when its bytes are released."""
         if request.picked:
             METRICS.counter("service.deadline.inflight").inc()
             self._finish(request, 504, {"error": "deadline exceeded"})
         else:
+            self.admission.remove(request)
             self._shed_expired(request)
 
     # -- dispatch ----------------------------------------------------------
@@ -464,9 +477,13 @@ class MicroBatcher:
                     continue  # cache hit riding along in a batch request
                 key = (entry.workload.algorithm, entry.workload.backend)
                 groups.setdefault(key, []).append((request, entry))
+        waiting = live
         for (algorithm, backend), pairs in groups.items():
             await self._compute_group(algorithm, backend, pairs)
-        for request in live:
+            # A request is answered once its own groups have computed.
+            waiting = [request for request in waiting
+                       if not self._respond_if_served(request)]
+        for request in waiting:
             self._respond(request)
 
     async def _compute_group(

@@ -5,7 +5,9 @@ import pytest
 
 import repro
 from repro.backends.batch import BatchMatchResult, batch_maximal_matching
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidListError, InvalidParameterError
+from repro.lists import NIL
+from repro.lists.validation import validate_next_array
 
 
 def _mixed_lists(seeds, sizes):
@@ -89,3 +91,83 @@ class TestBatchApi:
 
     def test_top_level_export(self):
         assert repro.batch_maximal_matching is batch_maximal_matching
+
+
+def _raw_batch(sizes, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in sizes:
+        order = rng.permutation(n)
+        nxt = np.full(n, NIL, dtype=np.int64)
+        nxt[order[:-1]] = order[1:]
+        out.append(nxt)
+    return out
+
+
+#: Each defect, and the start of its single-list message.
+MESSAGES = {
+    "out_of_range": r"^NEXT\[\d+\] = \d+ is neither nil",
+    "two_nils": "^a simple path has exactly one nil pointer; found 2",
+    "self_loop": r"^self-loop at node \d+",
+    "two_predecessors": r"^node \d+ has 2 predecessors",
+    "disjoint_cycle": r"^path from head \d+ covers",
+}
+DEFECTS = sorted(MESSAGES)
+
+
+def _break(nxt, defect):
+    """Give a valid list ``nxt`` of at least 3 nodes one defect."""
+    head = int(np.flatnonzero(np.bincount(nxt[nxt != NIL],
+                                          minlength=nxt.size) == 0)[0])
+    path = [head]
+    while nxt[path[-1]] != NIL:
+        path.append(int(nxt[path[-1]]))
+    if defect == "out_of_range":
+        nxt[path[1]] = nxt.size
+    elif defect == "two_nils":
+        nxt[path[1]] = NIL
+    elif defect == "self_loop":
+        nxt[path[1]] = path[1]
+    elif defect == "two_predecessors":
+        nxt[path[0]] = path[2]
+    else:  # a disjoint cycle: close the second half of the path
+        half = len(path) // 2
+        nxt[path[half - 1]] = NIL
+        nxt[path[-1]] = path[half]
+
+
+class TestBatchValidation:
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("b", [0, 3, 5])
+    def test_error_names_the_list(self, defect, b, contraction):
+        lists = _raw_batch([64, 3000, 1, 700, 3000, 2500], seed=b)
+        _break(lists[b], defect)
+        with pytest.raises(InvalidListError,
+                           match=MESSAGES[defect]) as single:
+            validate_next_array(lists[b])
+        with pytest.raises(InvalidListError) as batch:
+            batch_maximal_matching(lists)
+        assert str(batch.value) == f"list {b}: {single.value}"
+
+    def test_first_bad_list_is_named(self):
+        lists = _raw_batch([3000, 3000, 3000], seed=1)
+        _break(lists[1], "disjoint_cycle")
+        _break(lists[2], "out_of_range")
+        with pytest.raises(InvalidListError, match="^list 1: path from"):
+            batch_maximal_matching(lists)
+
+    def test_empty_list_is_named(self):
+        lists = _raw_batch([5, 6], seed=2) + [np.empty(0, dtype=np.int64)]
+        with pytest.raises(InvalidListError,
+                           match="^list 2: empty NEXT array"):
+            batch_maximal_matching(lists)
+
+    def test_mixed_inputs_same_matchings(self, contraction):
+        raw = _raw_batch([64, 3000, 1, 700, 4096, 2], seed=4)
+        objs = [repro.LinkedList(nxt) for nxt in raw]
+        mixed = [objs[b] if b % 2 else raw[b] for b in range(len(raw))]
+        want = batch_maximal_matching(objs)
+        for lists in (raw, mixed):
+            got = batch_maximal_matching(lists)
+            for a, b in zip(got.matchings, want.matchings):
+                assert np.array_equal(a.tails, b.tails)

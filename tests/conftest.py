@@ -39,3 +39,25 @@ def make_list(layout_name):
 def rng():
     """Deterministic RNG for tests needing randomness."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def tiny_contraction(monkeypatch):
+    """Validation constants that contract every level: rulers every 2nd
+    address, no Python finish of the lock-step rounds, only a 1-node
+    level walked, and ``int64`` step arrays."""
+    from repro.lists import validation
+
+    monkeypatch.setattr(validation, "K", 2)
+    monkeypatch.setattr(validation, "T", 1)
+    monkeypatch.setattr(validation, "SMALL", 1)
+    monkeypatch.setattr(validation, "INT32_LEVEL", 0)
+
+
+@pytest.fixture(params=["default", "tiny"])
+def contraction(request):
+    """Parametrize over the module's validation constants and
+    :func:`tiny_contraction`'s."""
+    if request.param == "tiny":
+        request.getfixturevalue("tiny_contraction")
+    return request.param

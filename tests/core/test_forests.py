@@ -74,6 +74,48 @@ class TestForestContainer:
             random_forest(5, 9, rng=0)
 
 
+def walked_structure(nxt):
+    """Heads, tails, component ids and circular ``NEXT`` of a valid
+    forest, by walking each component from its head."""
+    n = nxt.size
+    heads = np.flatnonzero(np.bincount(nxt[nxt != NIL], minlength=n) == 0)
+    tails = np.flatnonzero(nxt == NIL)
+    component = np.full(n, -1, dtype=np.int64)
+    for cid, v in enumerate(heads.tolist()):
+        while v != NIL:
+            component[v] = cid
+            v = int(nxt[v])
+    circular = nxt.copy()
+    circular[tails] = heads[component[tails]]
+    return heads, tails, component, circular
+
+
+class TestForestMatchesWalk:
+    @pytest.mark.parametrize("n,k", [(1, 1), (100, 7), (3000, 1),
+                                     (5000, 40), (4096, 4096)])
+    def test_random_forest(self, n, k, contraction):
+        f = random_forest(n, k, rng=n + k)
+        heads, tails, component, circular = walked_structure(
+            np.array(f.next))
+        assert np.array_equal(f.heads, heads)
+        assert np.array_equal(f.tails, tails)
+        assert np.array_equal(f.component, component)
+        assert np.array_equal(f.circular_next(), circular)
+
+    def test_first_node_on_a_cycle_is_named(self, contraction):
+        f = random_forest(5000, 12, rng=9)
+        nxt = np.array(f.next)
+        # Close the component holding node 4321 into a cycle.
+        cid = int(f.component[4321])
+        tail = int(f.tails[np.flatnonzero(f.component[f.tails] == cid)[0]])
+        nxt[tail] = f.heads[cid]
+        first = int(np.flatnonzero(f.component == cid)[0])
+        with pytest.raises(InvalidListError,
+                           match=f"^node {first} is unreachable from any "
+                                 f"head: a cycle exists$"):
+            Forest(nxt)
+
+
 class TestForestIteration:
     def test_adjacent_distinct(self):
         f = random_forest(500, 9, rng=2)

@@ -4,9 +4,10 @@
 - a full admission queue sheds 429 + ``Retry-After`` without growing
   any internal buffer;
 - a request whose deadline expired while queued is never computed, and
-  its bytes stay charged until the batcher takes it off the queue;
+  it leaves the queue, freeing its slot and its bytes;
 - a request's deadline is the one timer on its answer: it is answered
-  504 when the deadline passes, whatever else its batch computes;
+  504 when the deadline passes, whatever else its batch computes, and
+  200 as soon as its own group has computed;
 - a batch call that fails in any way degrades its requests, and the
   batcher goes on serving with its byte budget intact;
 - a telemetry sink that fails never takes serving down;
@@ -132,7 +133,7 @@ class TestAdmissionShedding:
             shed = [await match(service, {"n": 64, "seed": 10 + i})
                     for i in range(5)]
             bounds = {
-                "qsize": service.admission._queue.qsize(),
+                "qsize": len(service.admission._queue),
                 "depth": service.admission.depth,
                 "outstanding": len(service._outstanding),
             }
@@ -217,9 +218,9 @@ class TestDeadlines:
                 await asyncio.sleep(0.005)
             doomed = asyncio.create_task(
                 match(service, {"n": 97, "deadline_ms": 1.0}))
-            while service.admission.depth < 1:
-                await asyncio.sleep(0.005)
-            await asyncio.sleep(0.05)  # let the 1ms deadline lapse
+            # Answered at its deadline, off the queue: it never waits
+            # for the busy batcher.
+            await until(doomed.done)
             release.set()
             return await asyncio.gather(first, doomed)
 
@@ -303,10 +304,10 @@ class TestDeadlines:
         assert took < 1.0
         assert [r.status for r in others] == [200, 200]
 
-    def test_queued_request_answered_at_its_deadline_keeps_its_bytes(self):
-        """A request answered 504 while queued stays on the queue, and
-        charged, until the batcher takes it off uncomputed: the byte
-        budget still bounds what is resident."""
+    def test_queued_request_answered_at_its_deadline_leaves_the_queue(self):
+        """A request answered 504 while queued leaves the queue at once,
+        uncomputed: its bytes are charged exactly while its list is
+        resident, and are free for the next request."""
         gate = GatedBatch()
         # n = 64 lists are 512 bytes each: two fit the budget, three
         # do not.
@@ -319,28 +320,103 @@ class TestDeadlines:
                 blocker = asyncio.create_task(
                     match(service, {"n": 64, "seed": 0}))
                 await until(lambda: len(gate.calls) == 1)
-                expired = await match(
+                doomed = asyncio.create_task(match(
                     service, {"n": 64, "seed": 1, "deadline_ms": 100},
-                    timeout=3.0)
+                    timeout=3.0))
+                await until(lambda: admission.depth == 1)
+                resident = admission.inflight_bytes
+                expired = await doomed
+                freed = (admission.depth, admission.inflight_bytes)
                 counted = service.batcher.deadline_shed
-                shed = await match(service, {"n": 64, "seed": 2},
-                                   timeout=3.0)
-                held = admission.inflight_bytes
+                later = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 2}, timeout=3.0))
+                await until(lambda: later.done() or admission.depth == 1)
             finally:
                 gate.release()
             await blocker
+            admitted = await later
             await until(lambda: admission.inflight_bytes == 0)
-            return expired, counted, shed, held
+            return expired, resident, freed, counted, admitted
 
-        expired, counted, shed, held = run_service(config, scenario,
-                                                   batch_fn=gate)
+        expired, resident, freed, counted, admitted = run_service(
+            config, scenario, batch_fn=gate)
         assert expired.status == 504
         assert "not computed" in expired.json()["error"]
-        assert counted == 1  # counted when answered, not when picked
-        assert shed.status == 429
-        assert shed.json()["error"] == "request shed: inflight_bytes"
-        assert held == 2 * 512
-        assert len(gate.calls) == 1  # the expired list never computed
+        assert resident == 2 * 512  # the held list and the queued one
+        assert freed == (0, 512)  # off the queue, its bytes free
+        assert counted == 1
+        assert admitted.status == 200
+        assert gate.calls == [[64], [64]]  # the expired list never computed
+
+    def test_expired_queued_requests_free_their_slots(self):
+        """Queued requests answered 504 at their deadlines leave the
+        queue: its depth reads 0 and the next request is admitted."""
+        gate = GatedBatch()
+        config = ServiceConfig(port=0, max_queue_depth=2,
+                               default_deadline_ms=30000.0, cache_size=0)
+
+        async def scenario(service):
+            admission = service.admission
+            try:
+                blocker = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 0}))
+                await until(lambda: len(gate.calls) == 1)
+                expired = await asyncio.gather(*(
+                    match(service, {"n": 64, "seed": 1 + i,
+                                    "deadline_ms": 50}, timeout=3.0)
+                    for i in range(2)))
+                depth = admission.depth
+                later = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 3}, timeout=3.0))
+                await until(lambda: later.done() or admission.depth == 1)
+            finally:
+                gate.release()
+            await blocker
+            return expired, depth, await later
+
+        expired, depth, later = run_service(config, scenario, batch_fn=gate)
+        assert [r.status for r in expired] == [504, 504]
+        assert depth == 0
+        assert later.status == 200
+
+    def test_request_answered_once_its_own_group_computed(self):
+        """A numpy request batched ahead of a reference request is
+        answered when its own group has computed, while the reference
+        group's call is still held."""
+        gate = GatedBatch(held=3)
+        gate.release(1)  # the numpy group's call
+        config = ServiceConfig(port=0, default_deadline_ms=30000.0,
+                               cache_size=0)
+
+        async def scenario(service):
+            admission = service.admission
+            try:
+                blocker = asyncio.create_task(
+                    match(service, {"n": 64, "seed": 0}))
+                await until(lambda: len(gate.calls) == 1)
+                fast = asyncio.create_task(match(
+                    service, {"n": 97, "seed": 2, "deadline_ms": 200},
+                    timeout=3.0))
+                await until(lambda: admission.depth == 1)
+                slow = asyncio.create_task(match(
+                    service, {"n": 64, "seed": 1, "backend": "reference"}))
+                await until(lambda: admission.depth == 2)
+                gate.release(0)
+                resp = await fast
+                await until(lambda: len(gate.calls) == 3)
+                slow_done = slow.done()
+            finally:
+                gate.release()
+            others = await asyncio.gather(blocker, slow)
+            return resp, slow_done, others
+
+        resp, slow_done, others = run_service(config, scenario,
+                                              batch_fn=gate)
+        assert resp.status == 200
+        assert resp.json()["n"] == 97
+        assert not slow_done  # the reference call was still held
+        assert gate.calls[1:] == [[97], [64]]
+        assert [r.status for r in others] == [200, 200]
 
 
 class FailFirstCall:

@@ -172,8 +172,8 @@ class TestAdmission:
             assert admission.try_admit(_request(loop, [w])) == "draining"
             admission.draining = False
             # byte budget: 3 lists in flight of a 3-list budget
-            admission.picked()  # depth frees up, bytes do not
-            admission.picked()
+            admission.get_nowait()  # depth frees up, bytes do not
+            admission.get_nowait()
             assert admission.try_admit(
                 _request(loop, [w])) == "inflight_bytes"
             admission.release(64 * 8)
