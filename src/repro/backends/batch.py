@@ -8,15 +8,17 @@ the lists are small.  :func:`batch_maximal_matching` instead
 concatenates the lists into one flat node arena (per-list pointers
 offset into it, a shared dummy slot absorbing absent neighbors) and
 runs the numpy engine's kernels **once over the arena**: because every
-pointer, predecessor, and push stays inside its own list's segment, a
+pointer, neighbor, and push stays inside its own list's segment, a
 lockstep round over the arena is exactly a round of each list run
 alone, so the per-list matchings are bit-identical to per-list calls
 (and therefore to the reference tier).
 
-Labels are iterated with per-list round counts (nodes whose list is
-done stop updating), Match4's block ranks use per-list block widths,
-and the WalkDown sweeps order all lists' steps by one combined key —
-valid because a step's pushes never cross a list boundary.
+The engine's kernels take the arena as it is (a single list is an
+arena of one): labels are iterated with per-list round counts (nodes
+whose list is done stop updating), Match4's block ranks use per-list
+block widths, and the WalkDown sweeps order all lists' steps by one
+combined key — valid because a step's pushes never cross a list
+boundary.
 
 The returned :class:`CostReport` is the *aggregate lockstep* account:
 one phase structure for the whole batch, each round charged at the
@@ -35,20 +37,21 @@ import numpy as np
 from .._util import as_index_array
 from ..bits.iterated_log import G
 from ..errors import InvalidListError, InvalidParameterError, VerificationError
-from ..lists.linked_list import NIL, LinkedList
+from ..lists.linked_list import LinkedList
 from ..lists.validation import each_is_one_path, validate_next_array
 from ..pram.cost import CostModel, CostReport
-from ..core.functions import max_label_after
-from ..core.match1 import CONSTANT_LABEL_BOUND
 from ..core.matching import Matching
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import enabled as telemetry_enabled, span as telemetry_span
 from .engine import (
-    _cut_and_walk_flat,
-    _f_table_round,
-    _f_values,
+    _Prep,
+    _check_independent,
+    _check_six_set,
+    _cut_and_walk,
+    _match1_labels,
     _require_supported,
-    _sweep_labels6,
+    _six_set,
+    _unbounded_list,
 )
 
 __all__ = ["BatchStats", "BatchMatchResult", "batch_maximal_matching"]
@@ -91,125 +94,44 @@ class BatchMatchResult:
         return self.matchings[index]
 
 
-class _BatchPrep:
-    """Flat arena over many lists, duck-typing the engine's prep struct."""
-
-    __slots__ = ("n", "num_lists", "sizes", "offsets", "nxt", "cnext",
-                 "pdx", "ndx", "has_ptr", "interior", "local_addr",
-                 "tailnodes", "singleton_nodes")
-
-    def __init__(self, lists: Sequence[LinkedList]) -> None:
-        sizes = np.array([l.n for l in lists], dtype=np.int64)
-        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        n = int(offsets[-1])
-        nxt = np.empty(n, dtype=np.int64)
-        cnext = np.empty(n, dtype=np.int64)
-        pdx = np.empty(n, dtype=np.int64)
-        local_addr = np.empty(n, dtype=np.int64)
-        tailnodes = np.empty(len(lists), dtype=np.int64)
-        for b, lst in enumerate(lists):
-            o = int(offsets[b])
-            hi = o + lst.n
-            seg = nxt[o:hi]
-            seg[:] = lst.next
-            seg[seg != NIL] += o
-            cnext[o:hi] = lst.circular_next()
-            cnext[o:hi] += o
-            pd = lst.pred
-            pdx[o:hi] = np.where(pd == NIL, np.int64(n), pd + o)
-            local_addr[o:hi] = np.arange(lst.n, dtype=np.int64)
-            tailnodes[b] = o + lst.tail
-        has_ptr = nxt != NIL
-        self.n = n
-        self.num_lists = len(lists)
-        self.sizes = sizes
-        self.offsets = offsets
-        self.nxt = nxt
-        self.cnext = cnext
-        self.pdx = pdx
-        self.ndx = np.where(has_ptr & has_ptr[cnext], cnext, np.int64(n))
-        self.has_ptr = has_ptr
-        self.interior = has_ptr & (pdx != n)
-        self.local_addr = local_addr
-        self.tailnodes = tailnodes
-        self.singleton_nodes = offsets[:-1][sizes == 1]
-
-
-def _batch_labels(bp: _BatchPrep, rounds_per_list: np.ndarray, kind: str,
-                  cost: CostModel | None) -> np.ndarray:
-    """Per-list-bounded f iteration over the arena (``int8`` labels).
-
-    List ``b`` iterates ``rounds_per_list[b]`` rounds; its nodes freeze
-    afterwards while longer lists continue.  Lists with zero rounds
-    (singletons) keep their local address ``0``.
-    """
-    max_rounds = int(rounds_per_list.max())
-    if max_rounds == 0:
-        return np.zeros(bp.n, dtype=np.int8)
-    bound = int(bp.sizes.max())
-    labels = _f_values(bp.local_addr, bp.local_addr[bp.cnext], bound, kind)
-    mixed = bool((rounds_per_list != max_rounds).any())
-    needed = np.repeat(rounds_per_list, bp.sizes) if mixed else None
-    if needed is not None:
-        # Zero-round (singleton) lists keep their local address, 0.
-        labels[needed < 1] = 0
-    if cost is not None:
-        cost.parallel(int(bp.sizes[rounds_per_list >= 1].sum()))
-    for r in range(2, max_rounds + 1):
-        new = _f_table_round(labels, bp.cnext,
-                             max_label_after(bound, r - 1), kind)
-        labels = np.where(needed >= r, new, labels) if mixed else new
-        if cost is not None:
-            cost.parallel(int(bp.sizes[rounds_per_list >= r].sum()))
-    return labels
-
-
-def _split_matchings(lists, bp: _BatchPrep, tails: np.ndarray,
+def _split_matchings(prep: _Prep, tails: np.ndarray,
                      chosen: np.ndarray) -> tuple[Matching, ...]:
     """Cut the arena's tails back into per-list verified matchings."""
-    if np.any(chosen[bp.pdx[tails]]):
-        raise VerificationError(
-            "numpy batch engine produced adjacent matched pointers"
-        )
-    pieces = np.split(tails, np.searchsorted(tails, bp.offsets[1:-1]))
+    _check_independent(prep, tails, chosen)
+    pieces = np.split(tails, np.searchsorted(tails, prep.offsets[1:-1]))
     return tuple(
-        Matching(lst, piece - int(bp.offsets[b]), pre_verified=True)
-        for b, (lst, piece) in enumerate(zip(lists, pieces))
+        Matching(lst, piece - int(prep.offsets[b]), pre_verified=True)
+        for b, (lst, piece) in enumerate(zip(prep.lists, pieces))
     )
 
 
-def _batch_match1_numpy(lists, bp: _BatchPrep, *, p: int, kind: str = "msb",
+def _batch_match1_numpy(prep: _Prep, *, p: int, kind: str = "msb",
                         rounds: int | None = None,
                         ) -> tuple[tuple[Matching, ...], CostReport]:
     cost = CostModel(p)
     if rounds is not None and rounds < 0:
         raise InvalidParameterError(f"rounds must be >= 0, got {rounds}")
-    rpl = (np.full(bp.num_lists, rounds, dtype=np.int64)
+    rpl = (np.full(prep.sizes.size, rounds, dtype=np.int64)
            if rounds is not None
-           else np.array([G(int(nb)) for nb in bp.sizes], dtype=np.int64))
+           else np.array([G(nb) for nb in prep.sizes.tolist()],
+                         dtype=np.int64))
     # Reference match1 never iterates a singleton list.
-    rpl[bp.sizes == 1] = 0
+    rpl[prep.sizes == 1] = 0
     with cost.phase("iterate"):
-        if int(rpl.max()) > 0:
-            labels = _batch_labels(bp, rpl, kind, cost)
-        else:
-            labels = bp.local_addr
-    bound = max(CONSTANT_LABEL_BOUND, 2 * CONSTANT_LABEL_BOUND)
-    max_per_list = np.maximum.reduceat(labels, bp.offsets[:-1])
-    bad = np.flatnonzero((max_per_list >= bound) & (bp.sizes > 1))
-    if bad.size:
-        b = int(bad[0])
+        labels = _match1_labels(prep, rpl, kind, cost)
+    b = _unbounded_list(prep, labels)
+    if b is not None:
+        o, hi = int(prep.offsets[b]), int(prep.offsets[b + 1])
         raise VerificationError(
             f"list {b}: labels not constant-size after {int(rpl[b])} "
-            f"rounds (max {int(max_per_list[b])}); pass more rounds"
+            f"rounds (max {int(labels[o:hi].max())}); pass more rounds"
         )
     with cost.phase("cutwalk"):
-        tails, _, chosen = _cut_and_walk_flat(bp, labels, cost)
-    return _split_matchings(lists, bp, tails, chosen), cost.report()
+        tails, _, chosen = _cut_and_walk(prep, labels, cost)
+    return _split_matchings(prep, tails, chosen), cost.report()
 
 
-def _batch_match4_numpy(lists, bp: _BatchPrep, *, p: int,
+def _batch_match4_numpy(prep: _Prep, *, p: int,
                         iterations: int = 2, kind: str = "msb",
                         strategy: str = "iterate",
                         memory_limit: int = 1 << 24, step1_table=None,
@@ -228,75 +150,13 @@ def _batch_match4_numpy(lists, bp: _BatchPrep, *, p: int,
     _ = memory_limit
     if iterations < 1:
         raise InvalidParameterError(f"i must be >= 1, got {iterations}")
-    i = iterations
     cost = CostModel(p)
-    n = bp.n
-    active = bp.sizes >= 2
-    rpl = np.where(active, i, 0).astype(np.int64)
-
-    with cost.phase("partition"):
-        labels = _batch_labels(bp, rpl, kind, cost)
-
-    # Per-list block widths x_b and a global block numbering (block ids
-    # ascend with global address, so equal (block, label) runs stay
-    # contiguous under a stable by-label sort).
-    xs = np.array(
-        [max(2, max_label_after(int(nb), i)) if nb > 1 else 1
-         for nb in bp.sizes],
-        dtype=np.int64,
-    )
-    ys = (bp.sizes + xs - 1) // xs
-    maxx = int(xs.max())
-    nblocks = np.zeros(bp.num_lists + 1, dtype=np.int64)
-    np.cumsum(ys, out=nblocks[1:])
-    bid = np.empty(n, dtype=np.int64)
-    for b in range(bp.num_lists):
-        o, hi = int(bp.offsets[b]), int(bp.offsets[b + 1])
-        bid[o:hi] = bp.local_addr[o:hi] // int(xs[b]) + int(nblocks[b])
-
-    with cost.phase("sort"):
-        width = maxx + 1
-        flatbin = bid * width + labels
-        counts = np.bincount(flatbin, minlength=int(nblocks[-1]) * width)
-        rf = np.empty(counts.size, dtype=np.int64)
-        rf[0] = 0
-        np.cumsum(counts[:-1], out=rf[1:])
-        starts = rf[::width].copy()
-        rf.reshape(-1, width)[:, :] -= starts[:, None]
-        order1 = np.argsort(labels, kind="stable")
-        srt = flatbin[order1]
-        pos = np.arange(n, dtype=np.int64)
-        runstart = np.maximum.accumulate(
-            np.where(np.r_[True, srt[1:] != srt[:-1]], pos, 0)
-        )
-        seq = np.empty(n, dtype=np.int64)
-        seq[order1] = pos - runstart
-        row = (rf[flatbin] + seq).astype(np.int8)
-        cost.parallel(int(ys[active].sum()), depth=maxx)
-
-    intra = bp.has_ptr & (row == row[bp.cnext])
-    num_intra = int(np.count_nonzero(intra))
-    num_inter = (n - bp.num_lists) - num_intra
-    l6e, max_inter, max_intra = _sweep_labels6(
-        bp, labels, row, intra, maxx, num_lists=bp.num_lists
-    )
-    with cost.phase("walkdown1"):
-        if num_inter:
-            cost.parallel(int(ys[active].sum()), depth=max(1, max_inter + 1))
-    with cost.phase("walkdown2"):
-        if num_intra:
-            cost.parallel(int(ys[active].sum()), depth=max(1, max_intra + 1))
+    l6e = _six_set(prep, iterations, kind, cost)[0]
     if check:
-        from ..core.partition import verify_matching_partition
-
-        for b, lst in enumerate(lists):
-            o, hi = int(bp.offsets[b]), int(bp.offsets[b + 1])
-            raw = l6e[o:hi].astype(np.int64) - 1
-            verify_matching_partition(lst, raw)
-
+        _check_six_set(prep, l6e)
     with cost.phase("cutwalk"):
-        tails, _, chosen = _cut_and_walk_flat(bp, l6e, cost)
-    return _split_matchings(lists, bp, tails, chosen), cost.report()
+        tails, _, chosen = _cut_and_walk(prep, l6e, cost)
+    return _split_matchings(prep, tails, chosen), cost.report()
 
 
 _BATCH_DRIVERS = {
@@ -467,8 +327,7 @@ def batch_maximal_matching(
                 report = CostModel(p).report()
             else:
                 _require_supported(int(max(l.n for l in lls)))
-                bp = _BatchPrep(lls)
-                matchings, report = driver(lls, bp, p=p, **kwargs)
+                matchings, report = driver(_Prep(lls), p=p, **kwargs)
         else:
             cost = CostModel(p)
             collected = []

@@ -2,19 +2,21 @@
 
 Every PRAM round of the paper's algorithms applies one local rule to
 all ``n`` pointers; this module executes each such round as one batch
-of vectorized array operations:
+of vectorized array operations over an *arena*: one list, or many laid
+end to end (:mod:`repro.backends.batch`).  A list is an arena of one,
+and the same kernels serve both:
 
-- an ``f`` round is ``XOR`` + one bit-length table gather
-  (:mod:`repro.bits.bitlen_tables`) + one comparison — or, once labels
-  are small, a single gather into a cached pair table ``FT[a, b]``;
-- Match4's per-column counting sorts become a block-structured
-  counting rank (one ``bincount`` + per-position scatters);
-- the WalkDown sweeps become one radix sort of a combined
-  (class, step) key followed by per-step gather/scatter rounds over
-  *push* arrays holding each pointer's already-labeled neighbors;
-- the local-minima cut and the alternate-pointer walk are the same
-  gather/scatter loops the reference tier runs, over cached
-  predecessor/successor index arrays.
+- round 1 of ``f`` reads the bit index ``k`` of ``a ^ b`` off the
+  exponent of its float conversion; later rounds, whose labels are
+  small, are one gather into a cached pair table ``FT[a, b]``;
+- Match4's per-column counting sorts become a comparison count: a
+  node's stable rank in its block is the number of (label, position)
+  keys of the block that are smaller;
+- the WalkDown sweeps become one radix sort of a combined (class,
+  step) key followed by per-step rounds in which each pointer reads
+  its right neighbor's label and pushes its own to the right;
+- the local-minima cut and the alternate-pointer walk read successors
+  only.  No kernel builds a predecessor array.
 
 Bit-identity and cost parity are the contract: for every supported
 input the engine produces exactly the tails, stats, and Brent
@@ -23,19 +25,20 @@ input the engine produces exactly the tails, stats, and Brent
 reference tier stays the oracle; this tier is how the hot path runs at
 hardware speed.
 
-Internal index arrays use ``int64`` (numpy gathers take a fast path
-for native ``intp`` indices) while label/row payloads use ``int8`` so
-the per-round working set stays cache-resident.
+Index arrays are ``int64`` (numpy gathers take a fast path for native
+``intp`` indices) while label/row payloads are ``int8``, so the
+per-round working set stays cache-resident.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Sequence
 
 import numpy as np
 
 from .._util import ceil_div, require
-from ..bits.bitlen_tables import LSB16, TWO_MSB16, pair_label_table
+from ..bits.bitlen_tables import pair_label_table
 from ..bits.iterated_log import G
 from ..errors import InvalidParameterError, VerificationError
 from ..lists.linked_list import NIL, LinkedList
@@ -54,24 +57,41 @@ __all__ = [
     "f_msb",
     "f_lsb",
     "iterate_f",
-    "walk_segments",
     "cut_and_walk",
     "match1",
     "match4",
 ]
 
-#: Exclusive bound on list sizes (and ``f`` inputs) the engine accepts;
-#: the two-level 16-bit tables cover values below ``2**32`` and ``2**31``
-#: keeps every intermediate in ``int64`` with headroom.  The reference
-#: backend remains available beyond it.
+#: Exclusive bound on list sizes (and ``f`` inputs) the engine accepts:
+#: ``2**31`` keeps every intermediate in ``int64`` with headroom and
+#: every label below 62.  The reference backend remains available
+#: beyond it.
 ENGINE_LIMIT = 1 << 31
 
-_MASK16 = np.int64(0xFFFF)
+#: Match1's labels must fall below this once its rounds are done.
+_M1_LABEL_BOUND = max(CONSTANT_LABEL_BOUND, 2 * CONSTANT_LABEL_BOUND)
 
 
 # ---------------------------------------------------------------------------
 # f rounds on raw value arrays.
 # ---------------------------------------------------------------------------
+
+def _log2(v: np.ndarray, exact32: bool) -> np.ndarray:
+    """``floor(log2(v))`` of positive ``v``, read off the float exponent.
+
+    ``float32`` holds every integer below ``2**24`` (and every power of
+    two) exactly; ``float64`` every one below ``2**53``.
+    """
+    if exact32:
+        e = v.astype(np.float32).view(np.int32)
+        e >>= 23
+        e -= 127
+    else:
+        e = v.astype(np.float64).view(np.int64)
+        e >>= 52
+        e -= 1023
+    return e
+
 
 def _f_values(a: np.ndarray, b: np.ndarray, bound: int, kind: str) -> np.ndarray:
     """One ``f`` round on value arrays ``< bound``, as ``int8`` labels.
@@ -81,22 +101,16 @@ def _f_values(a: np.ndarray, b: np.ndarray, bound: int, kind: str) -> np.ndarray
     """
     xv = a ^ b
     if kind == "msb":
-        if bound <= (1 << 16):
-            k2 = TWO_MSB16[xv]
-        else:
-            hi = xv >> 16
-            k2 = np.where(hi != 0, TWO_MSB16[hi] + np.int8(32),
-                          TWO_MSB16[xv & _MASK16])
         # k = msb(a ^ b): a and b agree above bit k, so a_k = (a > b).
-        return k2 + (a > b)
-    iso = xv & -xv
-    if bound <= (1 << 16):
-        k = LSB16[iso]
+        k = _log2(xv, bound <= (1 << 24))
+        bit = a > b
     else:
-        lo = iso & _MASK16
-        k = np.where(lo != 0, LSB16[lo], LSB16[iso >> 16] + np.int8(16))
-    bit = (a >> k.astype(np.int64)) & 1
-    return (2 * k + bit.astype(np.int8)).astype(np.int8)
+        xv &= -xv
+        k = _log2(xv, True)
+        bit = (a & xv) != 0
+    k += k
+    k += bit
+    return k.astype(np.int8)
 
 
 def _f_table_round(labels8: np.ndarray, cnext: np.ndarray, m: int,
@@ -129,80 +143,113 @@ def _validate_f_args(a, b) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def f_msb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table-driven :func:`repro.core.functions.f_msb` (bit-identical)."""
+    """Vectorized :func:`repro.core.functions.f_msb` (bit-identical)."""
     a, b, bound = _validate_f_args(a, b)
     return _f_values(a, b, bound, "msb").astype(np.int64)
 
 
 def f_lsb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table-driven :func:`repro.core.functions.f_lsb` (bit-identical)."""
+    """Vectorized :func:`repro.core.functions.f_lsb` (bit-identical)."""
     a, b, bound = _validate_f_args(a, b)
     return _f_values(a, b, bound, "lsb").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
-# Cached per-list derived arrays.
+# The arena: derived arrays of one list or many, laid end to end.
 # ---------------------------------------------------------------------------
 
-class _ListPrep:
-    """Derived index arrays of one list, shared across engine calls.
+class _Prep:
+    """Derived arrays of an arena of lists, shared by every kernel.
 
-    Mirrors (and extends) the lazy caches on :class:`LinkedList` itself
-    (``pred``, ``order``): all entries are pure functions of the
-    immutable ``NEXT`` array.
+    List ``b`` holds the addresses ``offsets[b] .. offsets[b+1]-1``; a
+    single list is an arena of one.  Every entry is a pure function of
+    the lists' immutable ``NEXT`` arrays.  Slot ``n``, one past the
+    arena, is the dummy neighbor: ``ndx`` names it where the successor
+    holds no pointer, and masks of length ``n + 1`` keep it false.
     """
 
-    __slots__ = ("lst", "n", "tailnodes", "nxt", "cnext", "pdx", "ndx",
-                 "has_ptr", "interior", "addr", "xor1", "gt1", "xcache",
+    __slots__ = ("lists", "n", "sizes", "offsets", "nxt", "cnext", "ndx",
+                 "has_ptr", "interior", "heads", "tails", "last", "before",
                  "derived")
 
-    def __init__(self, lst: LinkedList) -> None:
-        n = lst.n
-        nxt = lst.next
-        pred = lst.pred
-        cnext = lst.circular_next()
+    def __init__(self, lists: Sequence[LinkedList]) -> None:
+        sizes = np.array([lst.n for lst in lists], dtype=np.int64)
+        offsets = np.zeros(sizes.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        n = int(offsets[-1])
+        heads = offsets[:-1] + [lst.head for lst in lists]
+        if len(lists) == 1:
+            nxt = lists[0].next
+        else:
+            nxt = np.concatenate([lst.next for lst in lists])
+            ends = nxt == NIL
+            nxt += np.repeat(offsets[:-1], sizes)
+            nxt[ends] = NIL
         has_ptr = nxt != NIL
-        self.lst = lst
+        tails = np.flatnonzero(~has_ptr)  # one per list, in list order
+        cnext = nxt.copy()
+        cnext[tails] = heads
+        interior = has_ptr.copy()
+        interior[heads] = False
+        # succ[v]: v's successor holds a pointer (nil reads slot n).
+        hx = np.zeros(n + 1, dtype=bool)
+        hx[:n] = has_ptr
+        succ = hx[nxt]
+        # Each list's last pointer, and its predecessor pointer (slot
+        # n where the last pointer is the head): the end repair's reads.
+        last = np.flatnonzero(has_ptr & ~succ)
+        if last.size == 1:  # a compare pass beats a random gather
+            src = np.flatnonzero(nxt == last[0])
+        else:
+            hx[:] = False
+            hx[last] = True
+            src = np.flatnonzero(hx[nxt])
+        before = np.full(last.size, n, dtype=np.int64)
+        before[np.searchsorted(last, nxt[src])] = src
+        self.lists = tuple(lists)
         self.n = n
-        self.tailnodes = np.array([lst.tail], dtype=np.int64)
+        self.sizes = sizes
+        self.offsets = offsets
         self.nxt = nxt
         self.cnext = cnext
-        # Dummy slot n absorbs pushes/reads across missing neighbors.
-        self.pdx = np.where(pred == NIL, np.int64(n), pred)
-        self.ndx = np.where(has_ptr & has_ptr[cnext], cnext, np.int64(n))
+        self.ndx = np.where(succ, nxt, np.int64(n))
         self.has_ptr = has_ptr
-        self.interior = has_ptr & (pred != NIL)
-        self.addr = np.arange(n, dtype=np.int64)
-        # Round 1 of f always XORs each address with its successor's:
-        # both operands are list constants, so the XOR (and the a > b
-        # bit selector) are cached too.
-        self.xor1 = self.addr ^ cnext
-        self.gt1 = self.addr > cnext
-        self.xcache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # Memoized preprocessing stages (labels, ranks, classification),
-        # keyed by the parameters they are pure functions of.  Cost
-        # charges are replayed on a hit, so CostReports are unaffected.
+        self.interior = interior
+        self.heads = heads
+        self.tails = tails
+        self.last = last
+        self.before = before
+        # Memoized stages (labels, six-set labels) keyed by the
+        # parameters they are pure functions of.  Cost charges are
+        # replayed on a hit, so CostReports are unaffected.
         self.derived: dict[tuple, tuple] = {}
 
+    def local(self) -> np.ndarray:
+        """Each node's address within its own list."""
+        addr = np.arange(self.n, dtype=np.int64)
+        if self.sizes.size > 1:
+            addr -= np.repeat(self.offsets[:-1], self.sizes)
+        return addr
 
-_PREP_CACHE: OrderedDict[int, _ListPrep] = OrderedDict()
+
+_PREP_CACHE: OrderedDict[int, _Prep] = OrderedDict()
 _PREP_CACHE_SIZE = 8
 
 
-def _prep_for(lst: LinkedList) -> _ListPrep:
+def _prep_for(lst: LinkedList) -> _Prep:
     key = id(lst)
     prep = _PREP_CACHE.get(key)
-    if prep is not None and prep.lst is lst:
+    if prep is not None and prep.lists[0] is lst:
         _PREP_CACHE.move_to_end(key)
         return prep
-    prep = _ListPrep(lst)
+    prep = _Prep([lst])
     _PREP_CACHE[key] = prep
     while len(_PREP_CACHE) > _PREP_CACHE_SIZE:
         _PREP_CACHE.popitem(last=False)
     return prep
 
 
-def _remember(prep: _ListPrep, key: tuple, value: tuple) -> None:
+def _remember(prep: _Prep, key: tuple, value: tuple) -> None:
     """Insert into the prep's derived-stage memo, bounded."""
     if len(prep.derived) >= 16:
         prep.derived.clear()
@@ -221,23 +268,39 @@ def _require_supported(n: int) -> None:
 # Label iteration.
 # ---------------------------------------------------------------------------
 
-def _iterate_labels(prep: _ListPrep, rounds: int, kind: str,
-                    cost: CostModel | None) -> np.ndarray:
-    """``rounds`` f-rounds from addresses; ``int8`` labels (``rounds >= 1``)."""
-    n = prep.n
+def _labels(prep: _Prep, rounds: np.ndarray, kind: str,
+            cost: CostModel | None) -> np.ndarray:
+    """Per-list f iteration over the arena.
+
+    List ``b`` iterates ``rounds[b]`` rounds; its nodes freeze afterwards
+    while longer lists continue.  With no rounds at all the labels are
+    the local addresses; otherwise they are ``int8``, and a zero-round
+    list (a singleton) keeps its local address, 0.
+    """
+    max_rounds = int(rounds.max())
+    a = prep.local()
+    if max_rounds == 0:
+        return a
     if telemetry_enabled():
-        METRICS.counter("engine.f_rounds").inc(rounds)
-    if kind == "msb" and n <= (1 << 16):
-        labels = TWO_MSB16[prep.xor1] + prep.gt1
-    else:
-        labels = _f_values(prep.addr, prep.cnext, n, kind)
+        METRICS.counter("engine.f_rounds").inc(max_rounds)
+    bound = int(prep.sizes.max())
+    b = prep.cnext
+    if prep.sizes.size > 1:  # the successor's local address
+        b = b - (np.arange(prep.n, dtype=np.int64) - a)
+    labels = _f_values(a, b, bound, kind)
+    del a, b
+    mixed = bool((rounds != max_rounds).any())
+    needed = np.repeat(rounds, prep.sizes) if mixed else None
+    if mixed:
+        labels[needed < 1] = 0
     if cost is not None:
-        cost.parallel(n)
-    for r in range(2, rounds + 1):
-        labels = _f_table_round(labels, prep.cnext, max_label_after(n, r - 1),
-                                kind)
+        cost.parallel(int(prep.sizes[rounds >= 1].sum()))
+    for r in range(2, max_rounds + 1):
+        new = _f_table_round(labels, prep.cnext,
+                             max_label_after(bound, r - 1), kind)
+        labels = np.where(needed >= r, new, labels) if mixed else new
         if cost is not None:
-            cost.parallel(n)
+            cost.parallel(int(prep.sizes[rounds >= r].sum()))
     return labels
 
 
@@ -256,31 +319,57 @@ def iterate_f(lst: LinkedList, rounds: int, *, kind: str = "msb",
     if lst.n == 1 or rounds == 0:
         return np.arange(lst.n, dtype=np.int64)
     prep = _prep_for(lst)
-    return _iterate_labels(prep, rounds, kind, cost).astype(np.int64)
+    return _labels(prep, np.array([rounds]), kind, cost).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # Local-minima cut + alternate-pointer walk (Match1 steps 3-4).
 # ---------------------------------------------------------------------------
 
-def walk_segments(nxt: np.ndarray, live: np.ndarray, starts: np.ndarray,
-                  limit: int) -> tuple[np.ndarray, int]:
-    """Walk alternate pointers through the live segments from ``starts``.
+def _cut_and_walk(prep: _Prep, labels: np.ndarray, cost: CostModel | None,
+                  max_walk_rounds: int | None = None,
+                  ) -> tuple[np.ndarray, CutWalkStats, np.ndarray]:
+    """Cut and walk over the arena.
 
-    The kernel of Match1 step 4: each start is the first live pointer of
-    one cut segment; the walk chooses it, skips the next live pointer,
-    and repeats until the segment ends.  Segments never interact — the
-    cut guarantees a chosen pointer's neighbors are dead or skipped.
-
-    Parameters are plain arrays (no prep struct): ``nxt`` the NEXT
-    array, ``live`` the length-``n`` survived-the-cut mask, ``starts``
-    the segment-start addresses to walk, ``limit`` the round bound.
-
-    Returns ``(chosen, rounds)``: the ascending addresses of the chosen
-    pointers and the number of lockstep rounds the walk took (the
-    maximum over the walked segments).
+    ``labels`` may be any signed integer dtype with values ``>= 0``
+    whose order relation matches the reference labels' — the engine's
+    encoded six-set labels (``raw + 1``) qualify.  Returns ``(tails,
+    stats, chosen)`` where ``chosen`` is the length ``n + 1`` per-node
+    mask (dummy slot false) so callers can verify independence without
+    rebuilding it.
     """
-    chosen = np.zeros(live.size, dtype=bool)
+    n = prep.n
+    nxt = prep.nxt
+    lab_next = labels[prep.cnext]
+    # v's predecessor's label is larger: scattered along cnext (a
+    # head's entry comes from its tail, and interior masks it).
+    pred_gt = np.empty(n, dtype=bool)
+    pred_gt[prep.cnext] = labels > lab_next
+    cut = labels < lab_next
+    cut &= pred_gt
+    cut &= prep.interior
+    del lab_next, pred_gt
+    if cost is not None:
+        cost.parallel(n)
+
+    # A pointer is *live* when it survived the cut.  A segment starts
+    # at each live head and after each cut pointer, unless a tail
+    # follows: strict local minima are never adjacent.  The starts are
+    # walked in address order, which keeps the first round's gathers
+    # local.
+    live = prep.has_ptr & ~cut
+    start = np.zeros(n, dtype=bool)
+    start[nxt[np.flatnonzero(cut)]] = True
+    start[prep.heads] = True
+    start &= prep.has_ptr
+    starts = np.flatnonzero(start)
+    del start
+    num_segments = int(starts.size)
+
+    # The walk: each round chooses the current pointers, skips the next
+    # live pointer and moves on to the one after it.
+    chosen = np.zeros(n + 1, dtype=bool)
+    limit = max_walk_rounds if max_walk_rounds is not None else n
     current = starts
     rounds = 0
     while current.size:
@@ -294,67 +383,25 @@ def walk_segments(nxt: np.ndarray, live: np.ndarray, starts: np.ndarray,
         w1 = nxt[current]
         w2 = nxt[w1[live[w1]]]
         current = w2[live[w2]]
-    return np.flatnonzero(chosen), rounds
-
-
-def _cut_and_walk_flat(prep, labels: np.ndarray, cost: CostModel | None,
-                       max_walk_rounds: int | None = None,
-                       ) -> tuple[np.ndarray, CutWalkStats, np.ndarray]:
-    """Shared cut+walk kernel over a prep struct (single list or batch).
-
-    ``labels`` may be any signed integer dtype with values ``>= 0``
-    (``-1`` serves as the absent-neighbor sentinel) whose order relation
-    matches the reference labels' — the engine's encoded six-set labels
-    (``raw + 1``) qualify.  Returns ``(tails, stats, chosen)`` where
-    ``chosen`` is the length ``n + 1`` per-node mask (dummy slot false)
-    so callers can verify independence without rebuilding it.
-    """
-    n = prep.n
-    nxt = prep.nxt
-    lab_next = labels[prep.cnext]
-    lext = np.empty(n + 1, dtype=labels.dtype)
-    lext[:n] = labels
-    lext[n] = -1
-    lab_prev = lext[prep.pdx]
-    cut = (lab_prev > labels) & (labels < lab_next) & prep.interior
-    if cost is not None:
-        cost.parallel(n)
-
-    # A pointer is *live* when it survived the cut; liveext's dummy slot
-    # makes pred/next probes branch-free.
-    liveext = np.zeros(n + 1, dtype=bool)
-    np.logical_and(prep.has_ptr, ~cut, out=liveext[:n])
-    live = liveext[:n]
-    # Segment starts: live pointers not preceded by a live pointer.
-    current = np.flatnonzero(live & ~liveext[prep.pdx])
-    num_segments = int(current.size)
-
-    chosen = np.zeros(n + 1, dtype=bool)
-    limit = max_walk_rounds if max_walk_rounds is not None else n
-    idx, rounds = walk_segments(nxt, live, current, limit)
-    chosen[idx] = True
     if cost is not None:
         cost.parallel(num_segments, depth=max(1, rounds))
 
-    # End repair, per list (see core.cutwalk's module docstring).
-    lp = prep.pdx[prep.tailnodes]
-    lp = lp[lp != n]
-    lp = lp[~chosen[lp]]
-    repair = lp[~chosen[prep.pdx[lp]]]
+    # End repair, per list (see core.cutwalk's module docstring): the
+    # last pointer joins when neither it nor its predecessor is chosen.
+    repair = prep.last[~chosen[prep.last] & ~chosen[prep.before]]
     chosen[repair] = True
-    end_repaired = bool(repair.size)
     if cost is not None:
-        if prep.tailnodes.size == 1:
+        if prep.sizes.size == 1:
             cost.sequential(1)
         else:
-            cost.parallel(int(prep.tailnodes.size))
+            cost.parallel(int(prep.sizes.size))
 
     tails = np.flatnonzero(chosen[:n])
     stats = CutWalkStats(
         num_cut=int(np.count_nonzero(cut)),
         num_segments=num_segments,
         walk_rounds=rounds,
-        end_repaired=end_repaired,
+        end_repaired=bool(repair.size),
     )
     return tails, stats, chosen
 
@@ -379,34 +426,57 @@ def cut_and_walk(lst: LinkedList, node_labels: np.ndarray, *,
     if labels.size and int(labels.min()) < 0:
         raise InvalidParameterError("node_labels must be non-negative")
     prep = _prep_for(lst)
-    if np.any(labels == labels[prep.cnext]):
+    if np.any((labels == labels[prep.cnext]) & prep.has_ptr):
         raise VerificationError(
             "node_labels must be distinct on adjacent nodes for the cut"
         )
-    tails, stats, _ = _cut_and_walk_flat(
+    tails, stats, _ = _cut_and_walk(
         prep, np.asarray(labels, dtype=np.int64), cost, max_walk_rounds
     )
     return tails, stats
 
 
-def _fast_matching(lst: LinkedList, prep, tails: np.ndarray,
-                   chosen: np.ndarray) -> Matching:
-    """Construct a verified :class:`Matching` from engine tails.
+def _check_independent(prep: _Prep, tails: np.ndarray,
+                       chosen: np.ndarray) -> None:
+    """No chosen pointer is followed by a chosen pointer.
 
     ``tails`` comes out of ``flatnonzero`` — sorted, unique, in-range
     pointer tails — so only independence needs checking, one gather
     against the walk's own ``chosen`` mask.
     """
-    if np.any(chosen[prep.pdx[tails]]):
+    if np.any(chosen[prep.nxt[tails]]):
         raise VerificationError(
             "numpy engine produced adjacent matched pointers"
         )
-    return Matching(lst, tails, pre_verified=True)
 
 
 # ---------------------------------------------------------------------------
 # Match1.
 # ---------------------------------------------------------------------------
+
+def _match1_labels(prep: _Prep, rounds: np.ndarray, kind: str,
+                   cost: CostModel, memo: bool = False) -> np.ndarray:
+    """Match1 steps 1-2 over the arena: ``rounds[b]`` f rounds for list
+    ``b``, memoized per list when ``memo``."""
+    dkey = ("m1", kind, int(rounds[0]))
+    hit = prep.derived.get(dkey) if memo else None
+    if hit is None:
+        labels = _labels(prep, rounds, kind, cost)
+        if memo and int(rounds[0]):
+            _remember(prep, dkey, (labels,))
+        return labels
+    for _ in range(int(rounds[0])):
+        cost.parallel(prep.n)
+    return hit[0]
+
+
+def _unbounded_list(prep: _Prep, labels: np.ndarray) -> int | None:
+    """The first list of two or more nodes whose labels are not
+    constant-size, else ``None``."""
+    maxima = np.maximum.reduceat(labels, prep.offsets[:-1])
+    bad = np.flatnonzero((maxima >= _M1_LABEL_BOUND) & (prep.sizes > 1))
+    return int(bad[0]) if bad.size else None
+
 
 def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
            rounds: int | None = None,
@@ -434,74 +504,74 @@ def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
                 cost.report(), CutWalkStats(0, 0, 0, False))
     prep = _prep_for(lst)
     with cost.phase("iterate"):
-        if rounds:
-            dkey = ("m1", kind, rounds)
-            hit = prep.derived.get(dkey)
-            if hit is None:
-                labels = _iterate_labels(prep, rounds, kind, cost)
-                _remember(prep, dkey, (labels,))
-            else:
-                labels = hit[0]
-                for _ in range(rounds):
-                    cost.parallel(n)
-        else:
-            labels = prep.addr
-    max_label = int(labels.max())
-    if max_label >= max(CONSTANT_LABEL_BOUND, 2 * CONSTANT_LABEL_BOUND):
+        labels = _match1_labels(prep, np.array([rounds]), kind, cost,
+                                memo=True)
+    if _unbounded_list(prep, labels) is not None:
         raise VerificationError(
             f"labels not constant-size after {rounds} rounds "
-            f"(max {max_label}); pass more rounds"
+            f"(max {int(labels.max())}); pass more rounds"
         )
     with cost.phase("cutwalk"):
-        tails, stats, chosen = _cut_and_walk_flat(prep, labels, cost)
-    return _fast_matching(lst, prep, tails, chosen), cost.report(), stats
+        tails, stats, chosen = _cut_and_walk(prep, labels, cost)
+    _check_independent(prep, tails, chosen)
+    return Matching(lst, tails, pre_verified=True), cost.report(), stats
 
 
 # ---------------------------------------------------------------------------
-# Match4: block counting ranks + WalkDown sweeps.
+# Match4: block ranks + WalkDown sweeps.
 # ---------------------------------------------------------------------------
 
-def _block_ranks(prep, labels8: np.ndarray, x: int) -> np.ndarray:
+#: Keys are ``label * 64 + position``: labels and block widths stay
+#: below 62 under :data:`ENGINE_LIMIT`, and a padding slot's label, 63,
+#: ranks after every real one.
+_PAD_KEY = 63 * 64
+#: Bytes of the block-rank kernel's comparison temporary per chunk
+#: (``x * x`` per block of ``x`` keys).
+_RANK_TEMP = 6 << 20
+
+
+def _block_ranks(prep: _Prep, labels8: np.ndarray, xs: np.ndarray,
+                 ) -> np.ndarray:
     """Stable rank of each node's label within its address block.
 
-    Equals the row assigned by the reference layout's stable per-column
-    counting sort: rank = (#smaller labels in block) + (#equal labels at
-    earlier in-block positions).  One bincount builds the per-(block,
-    label) start offsets; ``x`` scatter rounds place the positions.
+    List ``b`` cuts its nodes into blocks of ``xs[b]`` consecutive
+    addresses.  The rank equals the row the reference layout's stable
+    per-column counting sort assigns: the number of (label, position)
+    keys in the block that are smaller.  Every block is padded to the
+    widest ``x`` with keys that rank last, and the blocks are ranked as
+    the columns of one ``x``-row matrix, a chunk at a time: each chunk
+    is one broadcast comparison and one sum.
     """
     n = prep.n
-    nb = ceil_div(n, x)
-    cached = prep.xcache.get(x)
-    if cached is None:
-        base = (prep.addr // x) * (x + 1)
-        bb = np.arange(nb, dtype=np.int64) * (x + 1)
-        prep.xcache[x] = cached = (base, bb)
-    base, bb = cached
-    counts = np.bincount(base + labels8, minlength=nb * (x + 1))
-    # Per-block exclusive prefix via one contiguous cumsum: the global
-    # exclusive prefix minus each block's start (column x + 1 of each
-    # block is an always-empty separator, so blocks never bleed).
-    rf = np.empty(nb * (x + 1), dtype=np.int64)
-    rf[0] = 0
-    np.cumsum(counts[:-1], out=rf[1:])
-    starts = rf[:: x + 1].copy()
-    rf.reshape(nb, x + 1)[:, :] -= starts[:, None]
-    row = np.empty(n, dtype=np.int8)
-    for pos in range(x):
-        labp = labels8[pos::x]
-        if labp.size == 0:
-            break
-        idx = bb[:labp.size] + labp
-        r = rf[idx]
-        row[pos::x] = r
-        rf[idx] = r + 1
-    return row
+    x = int(xs.max())
+    ys = (prep.sizes + xs - 1) // xs
+    keys = np.full((int(ys.sum()), x), _PAD_KEY, dtype=np.int16)
+    slots = None
+    if prep.sizes.size == 1:
+        np.multiply(labels8, 64, out=keys.reshape(-1)[:n], dtype=np.int16)
+    else:
+        # Node -> slot: list b's blocks start at row sum(ys[:b]).
+        slots, col = np.divmod(prep.local(), np.repeat(xs, prep.sizes))
+        slots += np.repeat(np.cumsum(ys) - ys, prep.sizes)
+        slots *= x
+        slots += col
+        keys.reshape(-1)[slots] = labels8.astype(np.int16) * np.int16(64)
+    keys += np.arange(x, dtype=np.int16)
+    keys = keys.T.copy()
+    rank = np.empty_like(keys, dtype=np.int8)
+    w = max(1, _RANK_TEMP // (x * x))
+    for j in range(0, keys.shape[1], w):
+        k = keys[:, j:j + w]
+        np.sum(k[None] < k[:, None], axis=1, dtype=np.int8,
+               out=rank[:, j:j + w])
+    rank = rank.T.reshape(-1)
+    return rank[:n] if slots is None else rank[slots]
 
 
-_MEX_TABLES: tuple[np.ndarray, ...] | None = None
+_MEX_TABLES: tuple[np.ndarray, np.ndarray] | None = None
 
 
-def _mex_tables() -> tuple[np.ndarray, ...]:
+def _mex_tables() -> tuple[np.ndarray, np.ndarray]:
     """49-entry greedy-3-labeling tables over *encoded* neighbor labels.
 
     Encoding: ``0`` = no/unprocessed neighbor, else ``raw label + 1``.
@@ -516,86 +586,129 @@ def _mex_tables() -> tuple[np.ndarray, ...]:
         e2 = np.tile(np.arange(7, dtype=np.int64), 7) - 1
         mexi = (_mex3(0, e1, e2) + 1).astype(np.int8)
         mexa = (_mex3(3, e1, e2) + 1).astype(np.int8)
-        tables = (mexi, (mexi * np.int8(7)), mexa, (mexa * np.int8(7)))
+        tables = (mexi, mexa)
         for t in tables:
             t.setflags(write=False)
         _MEX_TABLES = tables
     return _MEX_TABLES
 
 
-def _sweep_labels6(prep, labels8, row, intra, max_x,
-                   num_lists: int = 1,
-                   ) -> tuple[np.ndarray, int, int]:
+def _sweep(prep: _Prep, labels8: np.ndarray, row: np.ndarray,
+           intra: np.ndarray, max_x: int) -> tuple[np.ndarray, int, int]:
     """Both WalkDown sweeps: encoded six-set labels per node.
 
     Returns ``(labels6_encoded, max_inter_step, max_intra_step)`` with
     the max steps ``-1`` when the class is empty.  The combined key —
     ``row`` for inter-row pointers, ``max_x + label + row`` for
-    intra-row ones — preserves the reference schedule: all inter-row
-    steps of a list precede all its intra-row steps (``row < x <=
-    max_x``), and steps ascend within each class in lockstep across
-    lists, which is safe because pushes never cross list boundaries.
+    intra-row ones, below 255 since ``max_x <= 62`` — preserves the
+    reference schedule: all inter-row steps of a list precede all its
+    intra-row steps (``row < x <= max_x``), and steps ascend within
+    each class in lockstep across lists, which is safe because no
+    neighbor crosses a list boundary.  Within a step, pointers are
+    endpoint-disjoint (Lemma 7): each reads its right neighbor's label
+    from the output and its left one from ``cl7``, where the left
+    neighbor pushed it, and every read precedes the step's writes.
     """
     n = prep.n
-    if 3 * max_x - 2 < 255:
-        sk = np.where(intra,
-                      labels8.view(np.uint8) + row.view(np.uint8)
-                      + np.uint8(max_x),
-                      row.view(np.uint8))
-        sk[~prep.has_ptr] = np.uint8(255)
-    else:
-        sk = np.where(intra,
-                      labels8.astype(np.int16) + row + np.int16(max_x),
-                      row.astype(np.int16))
-        sk[~prep.has_ptr] = np.int16(32000)
+    sk = labels8.view(np.uint8) + np.uint8(max_x)
+    sk *= intra.view(np.uint8)
+    sk += row.view(np.uint8)
+    sk[prep.tails] = np.uint8(255)
+    counts = np.bincount(sk, minlength=256)[:3 * max_x]
     order = np.argsort(sk, kind="stable")
-    num_ptrs = n - num_lists
-    tt = order[:num_ptrs]
-    sks = sk[tt]
-    bounds = np.searchsorted(sks, np.arange(3 * max_x, dtype=np.int64)
-                             .astype(sk.dtype)).tolist()
-    bounds.append(num_ptrs)
-    inter_count = bounds[max_x]
-    max_inter = int(sks[inter_count - 1]) if inter_count else -1
-    max_intra = (int(sks[num_ptrs - 1]) - max_x
-                 if num_ptrs > inter_count else -1)
-    pdt = prep.pdx[tt]
-    ndt = prep.ndx[tt]
-    mexi, mexi7, mexa, mexa7 = _mex_tables()
+    del sk
+    bounds = np.zeros(3 * max_x + 1, dtype=np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    steps = np.flatnonzero(counts).tolist()
+    inter = [s for s in steps if s < max_x]
+    max_inter = inter[-1] if inter else -1
+    max_intra = steps[-1] - max_x if len(steps) > len(inter) else -1
+    tt = order[:int(bounds[-1])]
+    right = prep.ndx[tt]
+    mexi, mexa = _mex_tables()
     cl7 = np.zeros(n + 1, dtype=np.int8)   # 7 * encoded left-neighbor label
-    cre = np.zeros(n + 1, dtype=np.int8)   # encoded right-neighbor label
-    labout = np.empty(num_ptrs, dtype=np.int8)
-    for s in range(3 * max_x):
+    l6 = np.zeros(n + 1, dtype=np.int8)    # encoded output; slot n stays 0
+    bounds = bounds.tolist()
+    for s in steps:
         lo = bounds[s]
         hi = bounds[s + 1]
-        if lo == hi:
-            continue
         g = tt[lo:hi]
-        idx = cl7[g] + cre[g]
-        if s < max_x:
-            lab = mexi[idx]
-            lab7 = mexi7[idx]
-        else:
-            lab = mexa[idx]
-            lab7 = mexa7[idx]
-        labout[lo:hi] = lab
-        cre[pdt[lo:hi]] = lab      # tell the left neighbor its right label
-        cl7[ndt[lo:hi]] = lab7     # tell the right neighbor its left label
-    l6e = np.zeros(n, dtype=np.int8)
-    l6e[tt] = labout
-    return l6e, max_inter, max_intra
+        r = right[lo:hi]
+        idx = cl7[g]
+        idx += l6[r]
+        lab = (mexi if s < max_x else mexa)[idx]
+        l6[g] = lab
+        lab *= np.int8(7)
+        cl7[r] = lab
+    return l6[:n], max_inter, max_intra
 
 
-def _check_sweeps(prep, sk_like_labels6, lst_list) -> None:
+def _match4_widths(prep: _Prep, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-list block width ``x`` and block count ``y``."""
+    xs = np.array([max(2, max_label_after(int(nb), i)) if nb > 1 else 1
+                   for nb in prep.sizes.tolist()], dtype=np.int64)
+    return xs, (prep.sizes + xs - 1) // xs
+
+
+def _six_set(prep: _Prep, i: int, kind: str, cost: CostModel,
+             memo: bool = False) -> tuple[np.ndarray, int, int, int]:
+    """Match4 steps 1-4 over the arena: ``(labels6_encoded, num_intra,
+    max_inter_step, max_intra_step)``, memoized per list when ``memo``;
+    charges the partition, sort and both WalkDown phases."""
+    xs, ys = _match4_widths(prep, i)
+    x = int(xs.max())
+    width = int(ys[prep.sizes >= 2].sum())
+    dkey = ("m4", kind, i)
+    hit = prep.derived.get(dkey) if memo else None
+    if hit is None:
+        with cost.phase("partition"):
+            # Only an all-singleton arena iterates no round: its local
+            # addresses are zeros.
+            labels = _labels(prep, np.where(prep.sizes >= 2, i, 0), kind,
+                             cost).astype(np.int8, copy=False)
+        with cost.phase("sort"):
+            row = _block_ranks(prep, labels, xs)
+            cost.parallel(width, depth=x)
+        intra = row == row[prep.cnext]
+        intra &= prep.has_ptr
+        num_intra = int(np.count_nonzero(intra))
+        with telemetry_span("engine.sweep", n=prep.n, x=x,
+                            y=int(ys.sum())) as sp:
+            rt = _resources.phase_begin("engine.sweep")
+            try:
+                l6e, max_inter, max_intra = _sweep(prep, labels, row,
+                                                   intra, x)
+            finally:
+                if rt is not None:
+                    _resources.phase_end(rt, None, sp)
+            sp.set(max_inter=max_inter, max_intra=max_intra)
+        hit = (l6e, num_intra, max_inter, max_intra)
+        if memo:
+            _remember(prep, dkey, hit)
+    else:
+        with cost.phase("partition"):
+            for _ in range(i):
+                cost.parallel(prep.n)
+        with cost.phase("sort"):
+            cost.parallel(width, depth=x)
+    _, num_intra, max_inter, max_intra = hit
+    with cost.phase("walkdown1"):
+        if prep.n - prep.sizes.size - num_intra:
+            cost.parallel(width, depth=max(1, max_inter + 1))
+    with cost.phase("walkdown2"):
+        if num_intra:
+            cost.parallel(width, depth=max(1, max_intra + 1))
+    return hit
+
+
+def _check_six_set(prep: _Prep, labels6: np.ndarray) -> None:
     """``check=True`` invariants: six-set partition per list."""
     from ..core.partition import verify_matching_partition
 
-    offset = 0
-    for lst in lst_list:
-        nb = lst.n
-        raw = sk_like_labels6[offset:offset + nb].astype(np.int64) - 1
+    for b, lst in enumerate(prep.lists):
+        o = int(prep.offsets[b])
+        raw = labels6[o:o + lst.n].astype(np.int64) - 1
         verify_matching_partition(lst, raw)
-        offset += nb
 
 
 def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
@@ -638,52 +751,15 @@ def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
             Match4Stats(i, strategy, 1, 1, 0, 0, CutWalkStats(0, 0, 0, False)),
         )
     prep = _prep_for(lst)
-    dkey = ("m4", kind, i)
-    hit = prep.derived.get(dkey)
-    x = max(2, max_label_after(n, i))
-    y = ceil_div(n, x)
-
-    if hit is None:
-        with cost.phase("partition"):
-            labels = _iterate_labels(prep, i, kind, cost)
-        with cost.phase("sort"):
-            row = _block_ranks(prep, labels, x)
-            cost.parallel(y, depth=x)
-        intra = prep.has_ptr & (row == row[prep.cnext])
-        num_intra = int(np.count_nonzero(intra))
-        _remember(prep, dkey, (labels, row, intra, num_intra))
-    else:
-        labels, row, intra, num_intra = hit
-        with cost.phase("partition"):
-            for _ in range(i):
-                cost.parallel(n)
-        with cost.phase("sort"):
-            cost.parallel(y, depth=x)
-    num_inter = (n - 1) - num_intra
-
-    with telemetry_span("engine.sweep", n=n, x=x, y=y) as sp:
-        rt = _resources.phase_begin("engine.sweep")
-        try:
-            l6e, max_inter, max_intra = _sweep_labels6(prep, labels, row,
-                                                       intra, x)
-        finally:
-            if rt is not None:
-                _resources.phase_end(rt, None, sp)
-        sp.set(max_inter=max_inter, max_intra=max_intra)
-    with cost.phase("walkdown1"):
-        if num_inter:
-            cost.parallel(y, depth=max(1, max_inter + 1))
-    with cost.phase("walkdown2"):
-        if num_intra:
-            cost.parallel(y, depth=max(1, max_intra + 1))
+    l6e, num_intra, _, _ = _six_set(prep, i, kind, cost, memo=True)
     if check:
-        _check_sweeps(prep, l6e, [lst])
-
+        _check_six_set(prep, l6e)
     with cost.phase("cutwalk"):
-        tails, cw, chosen = _cut_and_walk_flat(prep, l6e, cost)
-    matching = _fast_matching(lst, prep, tails, chosen)
+        tails, cw, chosen = _cut_and_walk(prep, l6e, cost)
+    _check_independent(prep, tails, chosen)
+    x = max(2, max_label_after(n, i))
     stats = Match4Stats(
-        i=i, strategy=strategy, x=x, y=y,
-        num_inter=num_inter, num_intra=num_intra, cutwalk=cw,
+        i=i, strategy=strategy, x=x, y=ceil_div(n, x),
+        num_inter=(n - 1) - num_intra, num_intra=num_intra, cutwalk=cw,
     )
-    return matching, cost.report(), stats
+    return Matching(lst, tails, pre_verified=True), cost.report(), stats

@@ -21,9 +21,9 @@ reproduces that machinery:
   Match4's step 1): the direct recursive scheme, the appendix's
   guess-and-verify EREW scheme, and the shuffle-graph-coloring view.
 - :mod:`repro.bits.bitlen_tables` — the 16-bit two-level bit-length /
-  MSB / LSB lookup tables and the cached pair-label tables the
-  vectorized backend engine (:mod:`repro.backends.engine`) evaluates
-  whole PRAM rounds through.
+  MSB / LSB lookup tables, and the cached pair-label tables through
+  which the vectorized backend engine (:mod:`repro.backends.engine`)
+  evaluates every ``f`` round after the first.
 """
 
 from .bitops import (

@@ -4,10 +4,11 @@ The appendix computes ``k`` (the index of the most/least significant
 set bit) either with a dedicated *convert* instruction or by table
 lookup.  :mod:`repro.bits.tables` reproduces the paper's *per-value*
 tables with their construction cost accounting; this module provides
-the **whole-array** form the numpy backend engine uses: 16-bit-wide
-lookup tables applied to entire ``a XOR b`` arrays with a single
-gather, plus cached pair tables ``FT[a, b] = f(<a, b>)`` for the
-bounded label domains reached after the first ``f`` round.
+the **whole-array** form: 16-bit-wide lookup tables applied to entire
+``a XOR b`` arrays with a single gather, and cached pair tables
+``FT[a, b] = f(<a, b>)`` for the bounded label domains reached after
+the first ``f`` round.  The numpy backend engine uses the pair tables
+only; it reads the first round's bit index off a float exponent.
 
 All tables are process-wide constants (a few tens of KiB); the pair
 tables are built by calling the *reference* ``f`` implementations from
@@ -24,7 +25,6 @@ from ..errors import InvalidParameterError
 __all__ = [
     "BITLEN16",
     "LSB16",
-    "TWO_MSB16",
     "bit_length_table",
     "msb_index_table",
     "lsb_index_table",
@@ -57,13 +57,9 @@ def _build_lsb16() -> np.ndarray:
 BITLEN16: np.ndarray = _build_bitlen16()
 #: ``LSB16[2**k] = k`` for ``k < 16`` (other slots are zero).
 LSB16: np.ndarray = _build_lsb16()
-#: ``TWO_MSB16[v] = 2 * (v.bit_length() - 1)`` for ``1 <= v < 2**16`` —
-#: the ``2k`` term of ``f`` in one gather.
-TWO_MSB16: np.ndarray = (2 * (BITLEN16.astype(np.int16) - 1)).astype(np.int8)
 
 BITLEN16.setflags(write=False)
 LSB16.setflags(write=False)
-TWO_MSB16.setflags(write=False)
 
 
 def _as_table_domain(x: np.ndarray, *, name: str) -> np.ndarray:

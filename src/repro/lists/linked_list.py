@@ -85,8 +85,10 @@ class LinkedList:
 
     @staticmethod
     def _find_head_unchecked(nxt: np.ndarray) -> int:
-        indegree = np.bincount(nxt[nxt != NIL], minlength=nxt.size)
-        return int(np.flatnonzero(indegree == 0)[0])
+        # The head is the one address no entry names, and the one nil
+        # entry is -1: the addresses sum to n(n-1)/2.
+        n = nxt.size
+        return n * (n - 1) // 2 - 1 - int(nxt.sum())
 
     # -- constructors -----------------------------------------------------
 

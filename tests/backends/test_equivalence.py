@@ -146,3 +146,15 @@ class TestBuildingBlockParity:
             engine.match1(lst, rounds=1)
         with pytest.raises(VerificationError, match="constant-size"):
             repro.match1(lst, rounds=1)
+
+    @pytest.mark.parametrize("nxt,labels", [
+        ([1, 2, -1], [0, 1, 0]),               # tail label == head label
+        ([1, 2, 3, 4, -1], [2, 0, 1, 0, 2]),   # the same, with two cuts
+    ])
+    def test_cut_and_walk_checks_real_pointers_only(self, nxt, labels):
+        lst = repro.LinkedList(nxt)
+        labels = np.array(labels, dtype=np.int64)
+        ref_tails, ref_stats = ref_cutwalk.cut_and_walk(lst, labels)
+        vec_tails, vec_stats = engine.cut_and_walk(lst, labels)
+        assert np.array_equal(vec_tails, ref_tails)
+        assert vec_stats == ref_stats

@@ -58,6 +58,13 @@ class TestConstruction:
         lst = LinkedList.from_order(perm)
         assert list(lst) == list(perm)
 
+    @given(permutations)
+    @settings(max_examples=50)
+    def test_unchecked_head_is_the_checked_head(self, perm):
+        nxt = LinkedList.from_order(perm).next
+        assert LinkedList(nxt).head == perm[0]
+        assert LinkedList(nxt, validate=False).head == perm[0]
+
 
 class TestImmutability:
     def test_next_read_only(self):
