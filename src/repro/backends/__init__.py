@@ -188,23 +188,17 @@ register_backend(Backend(
 ))
 
 
-def auto_backend(algorithm: str, sizes: Iterable[int], *,
-                 batch: bool = False) -> str:
+def auto_backend(algorithm: str, sizes: Iterable[int]) -> str:
     """The concrete backend ``backend="auto"`` stands for.
 
-    ``"numpy"`` when the numpy engine implements ``algorithm`` (for a
-    batch: when a batch driver exists for it) and every list size is
-    below :data:`ENGINE_LIMIT`; ``"reference"`` otherwise.  Every
-    backend returns the same answer, so the rule only picks host
-    speed, and numpy is faster at every size measured
-    (``docs/backends.md``).
+    ``"numpy"`` when the numpy engine implements ``algorithm`` and every
+    list size is below :data:`ENGINE_LIMIT`; ``"reference"`` otherwise.
+    A batch is judged by all its sizes: the engine runs single lists
+    and batches through the same driver.  Every backend returns the
+    same answer, so the rule only picks host speed, and numpy is faster
+    at every size measured (``docs/backends.md``).
     """
-    if batch:
-        from .batch import _BATCH_DRIVERS
-
-        implemented = algorithm in _BATCH_DRIVERS
-    else:
-        implemented = BACKENDS["numpy"].supports(algorithm)
-    if implemented and all(n < ENGINE_LIMIT for n in sizes):
+    if (BACKENDS["numpy"].supports(algorithm)
+            and all(n < ENGINE_LIMIT for n in sizes)):
         return "numpy"
     return "reference"

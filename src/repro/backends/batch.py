@@ -13,11 +13,12 @@ lockstep round over the arena is exactly a round of each list run
 alone, so the per-list matchings are bit-identical to per-list calls
 (and therefore to the reference tier).
 
-The engine's kernels take the arena as it is (a single list is an
-arena of one): labels are iterated with per-list round counts (nodes
-whose list is done stop updating), Match4's block ranks use per-list
-block widths, and the WalkDown sweeps order all lists' steps by one
-combined key — valid because a step's pushes never cross a list
+The engine has one driver per algorithm, and it takes the arena as it
+is: a single :func:`repro.maximal_matching` call runs the same driver
+on an arena of one.  Labels are iterated with per-list round counts
+(nodes whose list is done stop updating), Match4's block ranks use
+per-list block widths, and the WalkDown sweeps order all lists' steps
+by one combined key — valid because a step's pushes never cross a list
 boundary.
 
 The returned :class:`CostReport` is the *aggregate lockstep* account:
@@ -35,24 +36,14 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from .._util import as_index_array
-from ..bits.iterated_log import G
-from ..errors import InvalidListError, InvalidParameterError, VerificationError
+from ..errors import InvalidListError, InvalidParameterError
 from ..lists.linked_list import LinkedList
 from ..lists.validation import each_is_one_path, validate_next_array
 from ..pram.cost import CostModel, CostReport
 from ..core.matching import Matching
 from ..telemetry.metrics import METRICS
 from ..telemetry.spans import enabled as telemetry_enabled, span as telemetry_span
-from .engine import (
-    _Prep,
-    _check_independent,
-    _check_six_set,
-    _cut_and_walk,
-    _match1_labels,
-    _require_supported,
-    _six_set,
-    _unbounded_list,
-)
+from .engine import _Prep, _match1, _match4, _require_supported
 
 __all__ = ["BatchStats", "BatchMatchResult", "batch_maximal_matching"]
 
@@ -94,75 +85,13 @@ class BatchMatchResult:
         return self.matchings[index]
 
 
-def _split_matchings(prep: _Prep, tails: np.ndarray,
-                     chosen: np.ndarray) -> tuple[Matching, ...]:
+def _split_matchings(prep: _Prep, tails: np.ndarray) -> tuple[Matching, ...]:
     """Cut the arena's tails back into per-list verified matchings."""
-    _check_independent(prep, tails, chosen)
     pieces = np.split(tails, np.searchsorted(tails, prep.offsets[1:-1]))
     return tuple(
         Matching(lst, piece - int(prep.offsets[b]), pre_verified=True)
         for b, (lst, piece) in enumerate(zip(prep.lists, pieces))
     )
-
-
-def _batch_match1_numpy(prep: _Prep, *, p: int, kind: str = "msb",
-                        rounds: int | None = None,
-                        ) -> tuple[tuple[Matching, ...], CostReport]:
-    cost = CostModel(p)
-    if rounds is not None and rounds < 0:
-        raise InvalidParameterError(f"rounds must be >= 0, got {rounds}")
-    rpl = (np.full(prep.sizes.size, rounds, dtype=np.int64)
-           if rounds is not None
-           else np.array([G(nb) for nb in prep.sizes.tolist()],
-                         dtype=np.int64))
-    # Reference match1 never iterates a singleton list.
-    rpl[prep.sizes == 1] = 0
-    with cost.phase("iterate"):
-        labels = _match1_labels(prep, rpl, kind, cost)
-    b = _unbounded_list(prep, labels)
-    if b is not None:
-        o, hi = int(prep.offsets[b]), int(prep.offsets[b + 1])
-        raise VerificationError(
-            f"list {b}: labels not constant-size after {int(rpl[b])} "
-            f"rounds (max {int(labels[o:hi].max())}); pass more rounds"
-        )
-    with cost.phase("cutwalk"):
-        tails, _, chosen = _cut_and_walk(prep, labels, cost)
-    return _split_matchings(prep, tails, chosen), cost.report()
-
-
-def _batch_match4_numpy(prep: _Prep, *, p: int,
-                        iterations: int = 2, kind: str = "msb",
-                        strategy: str = "iterate",
-                        memory_limit: int = 1 << 24, step1_table=None,
-                        check: bool = False,
-                        ) -> tuple[tuple[Matching, ...], CostReport]:
-    if strategy != "iterate":
-        raise InvalidParameterError(
-            f"numpy backend implements strategy='iterate' only, got "
-            f"{strategy!r}"
-        )
-    if step1_table is not None:
-        raise InvalidParameterError(
-            "step1_table belongs to the 'table' strategy; the numpy "
-            "backend takes neither"
-        )
-    _ = memory_limit
-    if iterations < 1:
-        raise InvalidParameterError(f"i must be >= 1, got {iterations}")
-    cost = CostModel(p)
-    l6e = _six_set(prep, iterations, kind, cost)[0]
-    if check:
-        _check_six_set(prep, l6e)
-    with cost.phase("cutwalk"):
-        tails, _, chosen = _cut_and_walk(prep, l6e, cost)
-    return _split_matchings(prep, tails, chosen), cost.report()
-
-
-_BATCH_DRIVERS = {
-    "match1": _batch_match1_numpy,
-    "match4": _batch_match4_numpy,
-}
 
 
 def _as_lists(lists: Sequence[LinkedList | np.ndarray | list],
@@ -283,10 +212,18 @@ def batch_maximal_matching(
 
     extras: dict[str, Any] = {}
     if backend == AUTO:
-        backend = auto_backend(algorithm, (l.n for l in lls), batch=True)
+        backend = auto_backend(algorithm, (l.n for l in lls))
         extras["requested_backend"] = AUTO
 
-    get_backend(backend)  # validate the name even for the loop path
+    backend_obj = get_backend(backend)
+    if not backend_obj.supports(algorithm):
+        raise InvalidParameterError(
+            f"batch on the {backend} backend implements "
+            f"{sorted(backend_obj.algorithms)}, not {algorithm!r}; use "
+            f"backend='reference' for the per-list loop"
+        )
+    if backend == "numpy" and lls:
+        _require_supported(int(max(l.n for l in lls)))
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
 
     if telemetry_enabled():
@@ -299,15 +236,6 @@ def batch_maximal_matching(
     ):
         sharded = None
         if eff_workers > 1 and len(lls) > 1:
-            if backend == "numpy":
-                # Fail fast (and identically to serial) before forking.
-                _require_supported(int(max(l.n for l in lls)))
-                if algorithm not in _BATCH_DRIVERS:
-                    raise InvalidParameterError(
-                        f"batch on the numpy backend implements "
-                        f"{sorted(_BATCH_DRIVERS)}, not {algorithm!r}; use "
-                        f"backend='reference' for the per-list loop"
-                    )
             sharded = run_sharded_batch(
                 lls, algorithm=algorithm, p=p, kwargs=kwargs,
                 workers=eff_workers, backend=backend,
@@ -315,19 +243,17 @@ def batch_maximal_matching(
         if sharded is not None:
             matchings, report = sharded
         elif backend == "numpy":
-            driver = _BATCH_DRIVERS.get(algorithm)
-            if driver is None:
-                raise InvalidParameterError(
-                    f"batch on the numpy backend implements "
-                    f"{sorted(_BATCH_DRIVERS)}, not {algorithm!r}; use "
-                    f"backend='reference' for the per-list loop"
-                )
             if not lls:
                 matchings = ()
                 report = CostModel(p).report()
             else:
-                _require_supported(int(max(l.n for l in lls)))
-                matchings, report = driver(_Prep(lls), p=p, **kwargs)
+                prep = _Prep(lls)
+                # The numpy backend implements match1 and match4 only.
+                if algorithm == "match1":
+                    tails, report, _ = _match1(prep, p=p, **kwargs)
+                else:
+                    tails, report, _, _ = _match4(prep, p=p, **kwargs)
+                matchings = _split_matchings(prep, tails)
         else:
             cost = CostModel(p)
             collected = []

@@ -4,7 +4,8 @@ Every PRAM round of the paper's algorithms applies one local rule to
 all ``n`` pointers; this module executes each such round as one batch
 of vectorized array operations over an *arena*: one list, or many laid
 end to end (:mod:`repro.backends.batch`).  A list is an arena of one,
-and the same kernels serve both:
+so one driver per algorithm (``_match1``, ``_match4``) serves both,
+and each call computes from its inputs alone.  The kernels:
 
 - round 1 of ``f`` reads the bit index ``k`` of ``a ^ b`` off the
   exponent of its float conversion; later rounds, whose labels are
@@ -32,7 +33,6 @@ per-round working set stays cache-resident.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
@@ -169,8 +169,7 @@ class _Prep:
     """
 
     __slots__ = ("lists", "n", "sizes", "offsets", "nxt", "cnext", "ndx",
-                 "has_ptr", "interior", "heads", "tails", "last", "before",
-                 "derived")
+                 "has_ptr", "interior", "heads", "tails", "last", "before")
 
     def __init__(self, lists: Sequence[LinkedList]) -> None:
         sizes = np.array([lst.n for lst in lists], dtype=np.int64)
@@ -219,10 +218,6 @@ class _Prep:
         self.tails = tails
         self.last = last
         self.before = before
-        # Memoized stages (labels, six-set labels) keyed by the
-        # parameters they are pure functions of.  Cost charges are
-        # replayed on a hit, so CostReports are unaffected.
-        self.derived: dict[tuple, tuple] = {}
 
     def local(self) -> np.ndarray:
         """Each node's address within its own list."""
@@ -230,30 +225,6 @@ class _Prep:
         if self.sizes.size > 1:
             addr -= np.repeat(self.offsets[:-1], self.sizes)
         return addr
-
-
-_PREP_CACHE: OrderedDict[int, _Prep] = OrderedDict()
-_PREP_CACHE_SIZE = 8
-
-
-def _prep_for(lst: LinkedList) -> _Prep:
-    key = id(lst)
-    prep = _PREP_CACHE.get(key)
-    if prep is not None and prep.lists[0] is lst:
-        _PREP_CACHE.move_to_end(key)
-        return prep
-    prep = _Prep([lst])
-    _PREP_CACHE[key] = prep
-    while len(_PREP_CACHE) > _PREP_CACHE_SIZE:
-        _PREP_CACHE.popitem(last=False)
-    return prep
-
-
-def _remember(prep: _Prep, key: tuple, value: tuple) -> None:
-    """Insert into the prep's derived-stage memo, bounded."""
-    if len(prep.derived) >= 16:
-        prep.derived.clear()
-    prep.derived[key] = value
 
 
 def _require_supported(n: int) -> None:
@@ -318,8 +289,8 @@ def iterate_f(lst: LinkedList, rounds: int, *, kind: str = "msb",
     _require_supported(lst.n)
     if lst.n == 1 or rounds == 0:
         return np.arange(lst.n, dtype=np.int64)
-    prep = _prep_for(lst)
-    return _labels(prep, np.array([rounds]), kind, cost).astype(np.int64)
+    return _labels(_Prep([lst]), np.array([rounds]), kind,
+                   cost).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +396,7 @@ def cut_and_walk(lst: LinkedList, node_labels: np.ndarray, *,
         return np.empty(0, dtype=np.int64), CutWalkStats(0, 0, 0, False)
     if labels.size and int(labels.min()) < 0:
         raise InvalidParameterError("node_labels must be non-negative")
-    prep = _prep_for(lst)
+    prep = _Prep([lst])
     if np.any((labels == labels[prep.cnext]) & prep.has_ptr):
         raise VerificationError(
             "node_labels must be distinct on adjacent nodes for the cut"
@@ -454,28 +425,45 @@ def _check_independent(prep: _Prep, tails: np.ndarray,
 # Match1.
 # ---------------------------------------------------------------------------
 
-def _match1_labels(prep: _Prep, rounds: np.ndarray, kind: str,
-                   cost: CostModel, memo: bool = False) -> np.ndarray:
-    """Match1 steps 1-2 over the arena: ``rounds[b]`` f rounds for list
-    ``b``, memoized per list when ``memo``."""
-    dkey = ("m1", kind, int(rounds[0]))
-    hit = prep.derived.get(dkey) if memo else None
-    if hit is None:
-        labels = _labels(prep, rounds, kind, cost)
-        if memo and int(rounds[0]):
-            _remember(prep, dkey, (labels,))
-        return labels
-    for _ in range(int(rounds[0])):
-        cost.parallel(prep.n)
-    return hit[0]
-
-
 def _unbounded_list(prep: _Prep, labels: np.ndarray) -> int | None:
     """The first list of two or more nodes whose labels are not
     constant-size, else ``None``."""
     maxima = np.maximum.reduceat(labels, prep.offsets[:-1])
     bad = np.flatnonzero((maxima >= _M1_LABEL_BOUND) & (prep.sizes > 1))
     return int(bad[0]) if bad.size else None
+
+
+def _match1(prep: _Prep, *, p: int, kind: str = "msb",
+            rounds: int | None = None,
+            ) -> tuple[np.ndarray, CostReport, CutWalkStats]:
+    """Match1 over the arena: ``(tails, report, cutwalk stats)``.
+
+    Every list iterates ``rounds`` f rounds, ``G`` of its own size by
+    default, except a singleton, which iterates none.  In an arena of
+    several lists, a label-bound failure names its list.
+    """
+    require(rounds is None or rounds >= 0,
+            f"rounds must be >= 0, got {rounds}")
+    cost = CostModel(p)
+    rpl = (np.full(prep.sizes.size, rounds, dtype=np.int64)
+           if rounds is not None
+           else np.array([G(nb) for nb in prep.sizes.tolist()],
+                         dtype=np.int64))
+    rpl[prep.sizes == 1] = 0
+    with cost.phase("iterate"):
+        labels = _labels(prep, rpl, kind, cost)
+    b = _unbounded_list(prep, labels)
+    if b is not None:
+        o, hi = int(prep.offsets[b]), int(prep.offsets[b + 1])
+        name = f"list {b}: " if prep.sizes.size > 1 else ""
+        raise VerificationError(
+            f"{name}labels not constant-size after {int(rpl[b])} rounds "
+            f"(max {int(labels[o:hi].max())}); pass more rounds"
+        )
+    with cost.phase("cutwalk"):
+        tails, stats, chosen = _cut_and_walk(prep, labels, cost)
+    _check_independent(prep, tails, chosen)
+    return tails, cost.report(), stats
 
 
 def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
@@ -489,32 +477,20 @@ def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
     require(p >= 1, f"p must be >= 1, got {p}")
     if not isinstance(lst, LinkedList):
         lst = LinkedList(lst)
-    n = lst.n
-    _require_supported(n)
-    if rounds is None:
-        rounds = G(n)
-    require(rounds >= 0, f"rounds must be >= 0, got {rounds}")
-    cost = CostModel(p)
-    if n == 1:
+    _require_supported(lst.n)
+    if lst.n == 1:
+        require(rounds is None or rounds >= 0,
+                f"rounds must be >= 0, got {rounds}")
+        cost = CostModel(p)
         with cost.phase("iterate"):
             pass
         with cost.phase("cutwalk"):
             pass
         return (Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
                 cost.report(), CutWalkStats(0, 0, 0, False))
-    prep = _prep_for(lst)
-    with cost.phase("iterate"):
-        labels = _match1_labels(prep, np.array([rounds]), kind, cost,
-                                memo=True)
-    if _unbounded_list(prep, labels) is not None:
-        raise VerificationError(
-            f"labels not constant-size after {rounds} rounds "
-            f"(max {int(labels.max())}); pass more rounds"
-        )
-    with cost.phase("cutwalk"):
-        tails, stats, chosen = _cut_and_walk(prep, labels, cost)
-    _check_independent(prep, tails, chosen)
-    return Matching(lst, tails, pre_verified=True), cost.report(), stats
+    tails, report, stats = _match1(_Prep([lst]), p=p, kind=kind,
+                                   rounds=rounds)
+    return Matching(lst, tails, pre_verified=True), report, stats
 
 
 # ---------------------------------------------------------------------------
@@ -651,54 +627,39 @@ def _match4_widths(prep: _Prep, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _six_set(prep: _Prep, i: int, kind: str, cost: CostModel,
-             memo: bool = False) -> tuple[np.ndarray, int, int, int]:
-    """Match4 steps 1-4 over the arena: ``(labels6_encoded, num_intra,
-    max_inter_step, max_intra_step)``, memoized per list when ``memo``;
+             ) -> tuple[np.ndarray, int]:
+    """Match4 steps 1-4 over the arena: ``(labels6_encoded, num_intra)``;
     charges the partition, sort and both WalkDown phases."""
     xs, ys = _match4_widths(prep, i)
     x = int(xs.max())
     width = int(ys[prep.sizes >= 2].sum())
-    dkey = ("m4", kind, i)
-    hit = prep.derived.get(dkey) if memo else None
-    if hit is None:
-        with cost.phase("partition"):
-            # Only an all-singleton arena iterates no round: its local
-            # addresses are zeros.
-            labels = _labels(prep, np.where(prep.sizes >= 2, i, 0), kind,
-                             cost).astype(np.int8, copy=False)
-        with cost.phase("sort"):
-            row = _block_ranks(prep, labels, xs)
-            cost.parallel(width, depth=x)
-        intra = row == row[prep.cnext]
-        intra &= prep.has_ptr
-        num_intra = int(np.count_nonzero(intra))
-        with telemetry_span("engine.sweep", n=prep.n, x=x,
-                            y=int(ys.sum())) as sp:
-            rt = _resources.phase_begin("engine.sweep")
-            try:
-                l6e, max_inter, max_intra = _sweep(prep, labels, row,
-                                                   intra, x)
-            finally:
-                if rt is not None:
-                    _resources.phase_end(rt, None, sp)
-            sp.set(max_inter=max_inter, max_intra=max_intra)
-        hit = (l6e, num_intra, max_inter, max_intra)
-        if memo:
-            _remember(prep, dkey, hit)
-    else:
-        with cost.phase("partition"):
-            for _ in range(i):
-                cost.parallel(prep.n)
-        with cost.phase("sort"):
-            cost.parallel(width, depth=x)
-    _, num_intra, max_inter, max_intra = hit
+    with cost.phase("partition"):
+        # Only an all-singleton arena iterates no round: its local
+        # addresses are zeros.
+        labels = _labels(prep, np.where(prep.sizes >= 2, i, 0), kind,
+                         cost).astype(np.int8, copy=False)
+    with cost.phase("sort"):
+        row = _block_ranks(prep, labels, xs)
+        cost.parallel(width, depth=x)
+    intra = row == row[prep.cnext]
+    intra &= prep.has_ptr
+    num_intra = int(np.count_nonzero(intra))
+    with telemetry_span("engine.sweep", n=prep.n, x=x,
+                        y=int(ys.sum())) as sp:
+        rt = _resources.phase_begin("engine.sweep")
+        try:
+            l6e, max_inter, max_intra = _sweep(prep, labels, row, intra, x)
+        finally:
+            if rt is not None:
+                _resources.phase_end(rt, None, sp)
+        sp.set(max_inter=max_inter, max_intra=max_intra)
     with cost.phase("walkdown1"):
         if prep.n - prep.sizes.size - num_intra:
             cost.parallel(width, depth=max(1, max_inter + 1))
     with cost.phase("walkdown2"):
         if num_intra:
             cost.parallel(width, depth=max(1, max_intra + 1))
-    return hit
+    return l6e, num_intra
 
 
 def _check_six_set(prep: _Prep, labels6: np.ndarray) -> None:
@@ -709,6 +670,39 @@ def _check_six_set(prep: _Prep, labels6: np.ndarray) -> None:
         o = int(prep.offsets[b])
         raw = labels6[o:o + lst.n].astype(np.int64) - 1
         verify_matching_partition(lst, raw)
+
+
+def _check_match4_options(iterations: int, strategy: str,
+                          step1_table) -> None:
+    """Reject the Match4 options the numpy backend does not implement."""
+    require(iterations >= 1, f"i must be >= 1, got {iterations}")
+    if strategy != "iterate":
+        raise InvalidParameterError(
+            f"numpy backend implements strategy='iterate' only, got "
+            f"{strategy!r}; use backend='reference' for the table strategy"
+        )
+    if step1_table is not None:
+        raise InvalidParameterError(
+            "step1_table belongs to the 'table' strategy; the numpy "
+            "backend takes neither"
+        )
+
+
+def _match4(prep: _Prep, *, p: int, iterations: int = 2, kind: str = "msb",
+            strategy: str = "iterate", memory_limit: int = 1 << 24,
+            step1_table=None, check: bool = False,
+            ) -> tuple[np.ndarray, CostReport, CutWalkStats, int]:
+    """Match4 over the arena, with :func:`match4`'s options: ``(tails,
+    report, cutwalk stats, num_intra)``."""
+    _check_match4_options(iterations, strategy, step1_table)
+    cost = CostModel(p)
+    l6e, num_intra = _six_set(prep, iterations, kind, cost)
+    if check:
+        _check_six_set(prep, l6e)
+    with cost.phase("cutwalk"):
+        tails, cw, chosen = _cut_and_walk(prep, l6e, cost)
+    _check_independent(prep, tails, chosen)
+    return tails, cost.report(), cw, num_intra
 
 
 def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
@@ -723,43 +717,29 @@ def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
     the reference, ``check`` defaults to ``False``: the engine verifies
     matching independence inline for free, and ``check=True`` adds the
     full six-set partition verification.  The ``"table"`` step-1
-    strategy stays reference-only.
+    strategy stays reference-only; its ``memory_limit`` is accepted for
+    signature parity.
     """
     require(p >= 1, f"p must be >= 1, got {p}")
-    require(iterations >= 1, f"i must be >= 1, got {iterations}")
-    if strategy != "iterate":
-        raise InvalidParameterError(
-            f"numpy backend implements strategy='iterate' only, got "
-            f"{strategy!r}; use backend='reference' for the table strategy"
-        )
-    if step1_table is not None:
-        raise InvalidParameterError(
-            "step1_table belongs to the 'table' strategy; the numpy "
-            "backend takes neither"
-        )
-    _ = memory_limit  # table-strategy budget; accepted for signature parity
     if not isinstance(lst, LinkedList):
         lst = LinkedList(lst)
     n = lst.n
     _require_supported(n)
     i = iterations
-    cost = CostModel(p)
     if n == 1:
+        _check_match4_options(i, strategy, step1_table)
         return (
             Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
-            cost.report(),
+            CostModel(p).report(),
             Match4Stats(i, strategy, 1, 1, 0, 0, CutWalkStats(0, 0, 0, False)),
         )
-    prep = _prep_for(lst)
-    l6e, num_intra, _, _ = _six_set(prep, i, kind, cost, memo=True)
-    if check:
-        _check_six_set(prep, l6e)
-    with cost.phase("cutwalk"):
-        tails, cw, chosen = _cut_and_walk(prep, l6e, cost)
-    _check_independent(prep, tails, chosen)
+    tails, report, cw, num_intra = _match4(
+        _Prep([lst]), p=p, iterations=i, kind=kind, strategy=strategy,
+        step1_table=step1_table, check=check,
+    )
     x = max(2, max_label_after(n, i))
     stats = Match4Stats(
         i=i, strategy=strategy, x=x, y=ceil_div(n, x),
         num_inter=(n - 1) - num_intra, num_intra=num_intra, cutwalk=cw,
     )
-    return Matching(lst, tails, pre_verified=True), cost.report(), stats
+    return Matching(lst, tails, pre_verified=True), report, stats

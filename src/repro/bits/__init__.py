@@ -20,10 +20,10 @@ reproduces that machinery:
   iterated matching partition function ``f^(i)`` (used by Match3 and
   Match4's step 1): the direct recursive scheme, the appendix's
   guess-and-verify EREW scheme, and the shuffle-graph-coloring view.
-- :mod:`repro.bits.bitlen_tables` — the 16-bit two-level bit-length /
-  MSB / LSB lookup tables, and the cached pair-label tables through
-  which the vectorized backend engine (:mod:`repro.backends.engine`)
-  evaluates every ``f`` round after the first.
+- :mod:`repro.bits.bitlen_tables` — the cached pair-label tables
+  through which the vectorized backend engine
+  (:mod:`repro.backends.engine`) evaluates every ``f`` round after the
+  first.
 """
 
 from .bitops import (
@@ -50,12 +50,7 @@ from .lookup import (
     build_table_guess_and_verify,
     shuffle_graph,
 )
-from .bitlen_tables import (
-    bit_length_table,
-    lsb_index_table,
-    msb_index_table,
-    pair_label_table,
-)
+from .bitlen_tables import pair_label_table
 
 __all__ = [
     "bit_at",
@@ -77,8 +72,5 @@ __all__ = [
     "build_table_direct",
     "build_table_guess_and_verify",
     "shuffle_graph",
-    "bit_length_table",
-    "lsb_index_table",
-    "msb_index_table",
     "pair_label_table",
 ]

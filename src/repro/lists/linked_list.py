@@ -69,16 +69,15 @@ class LinkedList:
             head = self._find_head_unchecked(nxt)
         self._next = nxt
         self._next.setflags(write=False)
-        if values is None:
-            vals = np.arange(nxt.size, dtype=np.int64)
-        else:
-            vals = as_index_array(values, name="values")
-            if vals.size != nxt.size:
+        if values is not None:
+            values = as_index_array(values, name="values")
+            if values.size != nxt.size:
                 raise InvalidListError(
-                    f"values has {vals.size} entries for {nxt.size} nodes"
+                    f"values has {values.size} entries for {nxt.size} nodes"
                 )
-        vals.setflags(write=False)
-        self._values = vals
+            values.setflags(write=False)
+        # None stands for the addresses, built only when read.
+        self._values = values
         self._head = head
         self._pred: np.ndarray | None = None
         self._order: np.ndarray | None = None
@@ -138,6 +137,10 @@ class LinkedList:
     @property
     def values(self) -> np.ndarray:
         """The (read-only) payload array ``X``."""
+        if self._values is None:
+            vals = np.arange(self.n, dtype=np.int64)
+            vals.setflags(write=False)
+            return vals
         return self._values
 
     def __len__(self) -> int:
@@ -159,7 +162,8 @@ class LinkedList:
             return NotImplemented
         return bool(
             np.array_equal(self._next, other._next)
-            and np.array_equal(self._values, other._values)
+            and (self._values is other._values
+                 or np.array_equal(self.values, other.values))
         )
 
     def __hash__(self) -> int:

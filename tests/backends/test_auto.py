@@ -2,11 +2,11 @@
 
 :func:`repro.backends.auto_backend` reads only the algorithm name and
 the list sizes: ``"numpy"`` where the numpy engine implements the
-algorithm (for batches: where a batch driver exists) and every list has
-``n < ENGINE_LIMIT``, ``"reference"`` otherwise.  Every entry point
-that accepts ``"auto"`` must return exactly what an explicit call with
-that backend returns, while still reporting that ``"auto"`` was asked;
-the per-entry-point checks are in ``tests/planner/``.
+algorithm and every list has ``n < ENGINE_LIMIT``, ``"reference"``
+otherwise.  Every entry point that accepts ``"auto"`` must return
+exactly what an explicit call with that backend returns, while still
+reporting that ``"auto"`` was asked; the per-entry-point checks are in
+``tests/planner/``.
 """
 
 import numpy as np
@@ -36,18 +36,17 @@ class TestRule:
 
     def test_reference_at_the_engine_limit(self):
         assert auto_backend("match4", [ENGINE_LIMIT]) == "reference"
-        assert auto_backend("match4", [8, ENGINE_LIMIT],
-                            batch=True) == "reference"
+        assert auto_backend("match4", [8, ENGINE_LIMIT]) == "reference"
 
     @pytest.mark.parametrize("algorithm", ["match2", "match3", "sequential",
                                            "random_mate"])
     def test_reference_for_algorithms_numpy_lacks(self, algorithm):
         assert auto_backend(algorithm, [64]) == "reference"
-        assert auto_backend(algorithm, [64], batch=True) == "reference"
+        assert auto_backend(algorithm, [3, 64]) == "reference"
 
-    def test_batch_rule_follows_the_batch_drivers(self):
-        assert auto_backend("match4", [3, 64], batch=True) == "numpy"
-        assert auto_backend("match1", [], batch=True) == "numpy"
+    def test_batch_rule_reads_every_size(self):
+        assert auto_backend("match4", [3, 64]) == "numpy"
+        assert auto_backend("match1", []) == "numpy"
 
 
 @pytest.mark.parametrize("algorithm", sorted(repro.ALGORITHMS))
@@ -67,7 +66,7 @@ def test_auto_equals_the_named_backend(algorithm, n):
 @pytest.mark.parametrize("algorithm", ["match4", "match2"])
 def test_batch_auto_equals_the_explicit_call(algorithm):
     lists = [repro.random_list(n, rng=n) for n in SIZES]
-    named = auto_backend(algorithm, SIZES, batch=True)
+    named = auto_backend(algorithm, SIZES)
     auto = batch_maximal_matching(lists, algorithm=algorithm, backend=AUTO)
     explicit = batch_maximal_matching(lists, algorithm=algorithm,
                                       backend=named)

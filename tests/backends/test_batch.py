@@ -5,7 +5,11 @@ import pytest
 
 import repro
 from repro.backends.batch import BatchMatchResult, batch_maximal_matching
-from repro.errors import InvalidListError, InvalidParameterError
+from repro.errors import (
+    InvalidListError,
+    InvalidParameterError,
+    VerificationError,
+)
 from repro.lists import NIL
 from repro.lists.validation import validate_next_array
 
@@ -88,6 +92,20 @@ class TestBatchApi:
         lists = _mixed_lists(range(2), [16, 17])
         with pytest.raises(InvalidParameterError, match="match2"):
             batch_maximal_matching(lists, algorithm="match2")
+
+    def test_label_bound_error_names_the_list(self):
+        lists = _mixed_lists(range(3), [5, 4096, 64])
+        with pytest.raises(VerificationError,
+                           match="constant-size") as single:
+            repro.maximal_matching(lists[1], algorithm="match1",
+                                   backend="numpy", rounds=1)
+        with pytest.raises(VerificationError) as batch:
+            batch_maximal_matching(lists, algorithm="match1", rounds=1)
+        assert str(batch.value) == f"list 1: {single.value}"
+        # A batch of one list is that list's arena: the single-list text.
+        with pytest.raises(VerificationError) as alone:
+            batch_maximal_matching(lists[1:2], algorithm="match1", rounds=1)
+        assert str(alone.value) == str(single.value)
 
     def test_top_level_export(self):
         assert repro.batch_maximal_matching is batch_maximal_matching

@@ -1,5 +1,7 @@
 """Pins on the numpy engine's kernels, each against a plain oracle."""
 
+import gc
+import weakref
 from itertools import product
 
 import numpy as np
@@ -115,3 +117,26 @@ def test_numpy_paths_build_no_predecessor_array(algorithm):
                                  algorithm=algorithm)
     assert all(lst._pred is None for lst in lists)
     assert all(m.lst._pred is None for m in raw.matchings)
+    assert all(lst._values is None for lst in lists)
+
+
+ENGINE_CALLS = {
+    "match1": lambda lst: repro.maximal_matching(lst, algorithm="match1",
+                                                 backend="numpy"),
+    "match4": lambda lst: repro.maximal_matching(lst, algorithm="match4",
+                                                 backend="numpy"),
+    "iterate_f": lambda lst: engine.iterate_f(lst, 2),
+    "cut_and_walk": lambda lst: engine.cut_and_walk(
+        lst, ref_functions.iterate_f(lst, 3)),
+    "batch": lambda lst: batch_maximal_matching([lst]),
+}
+
+
+@pytest.mark.parametrize("call", ENGINE_CALLS.values(), ids=ENGINE_CALLS)
+def test_engine_keeps_nothing_between_calls(call):
+    lst = repro.random_list(300, rng=5)
+    alive = weakref.ref(lst.next)
+    result = call(lst)
+    del lst, result
+    gc.collect()
+    assert alive() is None

@@ -35,6 +35,8 @@ class TestConstruction:
     def test_values_default_to_addresses(self):
         lst = LinkedList.from_order([1, 0])
         assert lst.values.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            lst.values[0] = 5
 
     def test_custom_values(self):
         lst = LinkedList([1, NIL], values=[10, 20])
@@ -155,6 +157,12 @@ class TestEqualityHash:
         a = LinkedList.from_order([0, 2, 1])
         b = LinkedList.from_order([0, 1, 2])
         assert a != b
+
+    def test_default_values_equal_the_addresses(self):
+        nxt = [2, NIL, 1]
+        assert LinkedList(nxt) == LinkedList(nxt, values=np.arange(3))
+        assert LinkedList(nxt, values=np.arange(3)) == LinkedList(nxt)
+        assert LinkedList(nxt) != LinkedList(nxt, values=[0, 1, 7])
 
     def test_not_equal_other_type(self):
         assert LinkedList.from_order([0]) != "list"
