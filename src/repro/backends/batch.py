@@ -15,11 +15,11 @@ alone, so the per-list matchings are bit-identical to per-list calls
 
 The engine has one driver per algorithm, and it takes the arena as it
 is: a single :func:`repro.maximal_matching` call runs the same driver
-on an arena of one.  Labels are iterated with per-list round counts
-(nodes whose list is done stop updating), Match4's block ranks use
-per-list block widths, and the WalkDown sweeps order all lists' steps
-by one combined key — valid because a step's pushes never cross a list
-boundary.
+on an arena of one.  The engine lays the lists out by size, so that
+per-list round counts (nodes whose list is done stop updating) and
+Match4's per-list block widths select slices of the arena; the
+WalkDown sweeps order all lists' steps by one combined key — valid
+because a step's pushes never cross a list boundary.
 
 The returned :class:`CostReport` is the *aggregate lockstep* account:
 one phase structure for the whole batch, each round charged at the
@@ -86,12 +86,14 @@ class BatchMatchResult:
 
 
 def _split_matchings(prep: _Prep, tails: np.ndarray) -> tuple[Matching, ...]:
-    """Cut the arena's tails back into per-list verified matchings."""
+    """Cut the arena's tails back into per-list verified matchings, in
+    the caller's order."""
     pieces = np.split(tails, np.searchsorted(tails, prep.offsets[1:-1]))
-    return tuple(
-        Matching(lst, piece - int(prep.offsets[b]), pre_verified=True)
-        for b, (lst, piece) in enumerate(zip(prep.lists, pieces))
-    )
+    out = [None] * len(pieces)
+    for j, b in enumerate(prep.order.tolist()):
+        out[b] = Matching(prep.lists[j], pieces[j] - int(prep.offsets[j]),
+                          pre_verified=True)
+    return tuple(out)
 
 
 def _as_lists(lists: Sequence[LinkedList | np.ndarray | list],

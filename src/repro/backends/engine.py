@@ -113,12 +113,11 @@ def _f_values(a: np.ndarray, b: np.ndarray, bound: int, kind: str) -> np.ndarray
     return k.astype(np.int8)
 
 
-def _f_table_round(labels8: np.ndarray, cnext: np.ndarray, m: int,
+def _f_table_round(a8: np.ndarray, b8: np.ndarray, m: int,
                    kind: str) -> np.ndarray:
     """One ``f`` round on small labels (``< m``) via the pair table."""
     ft = pair_label_table(kind, m)
-    b8 = labels8[cnext]
-    idx = labels8.astype(np.int64)
+    idx = a8.astype(np.int64)
     idx *= m
     idx += b8
     return ft[idx]
@@ -161,31 +160,45 @@ def f_lsb(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _Prep:
     """Derived arrays of an arena of lists, shared by every kernel.
 
-    List ``b`` holds the addresses ``offsets[b] .. offsets[b+1]-1``; a
-    single list is an arena of one.  Every entry is a pure function of
+    The lists are laid end to end in ascending size order (a stable
+    sort): arena list ``j`` is the caller's list ``order[j]`` and holds
+    the addresses ``offsets[j] .. offsets[j+1]-1``; a single list is an
+    arena of one.  Since a list's round count and block width grow with
+    its size, each class of them is a run of consecutive lists, so a
+    kernel treats it as one slice: the singletons are the first
+    ``singles`` lists (and nodes), and the lists that iterate a given
+    ``f`` round are the arena's tail.  Every entry is a pure function of
     the lists' immutable ``NEXT`` arrays.  Slot ``n``, one past the
     arena, is the dummy neighbor: ``ndx`` names it where the successor
     holds no pointer, and masks of length ``n + 1`` keep it false.
     """
 
-    __slots__ = ("lists", "n", "sizes", "offsets", "nxt", "cnext", "ndx",
-                 "has_ptr", "interior", "heads", "tails", "last", "before")
+    __slots__ = ("lists", "order", "n", "sizes", "offsets", "base",
+                 "singles", "nxt", "cnext", "ndx", "has_ptr", "interior",
+                 "heads", "tails", "last", "before")
 
     def __init__(self, lists: Sequence[LinkedList]) -> None:
         sizes = np.array([lst.n for lst in lists], dtype=np.int64)
+        order = np.argsort(sizes, kind="stable")
+        sizes = sizes[order]
+        lists = [lists[b] for b in order.tolist()]
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         n = int(offsets[-1])
         heads = offsets[:-1] + [lst.head for lst in lists]
+        base = None
         if len(lists) == 1:
             nxt = lists[0].next
         else:
+            # Each node's list base, built once: the rebase here and the
+            # local addresses of the first f round read it.  Kept for
+            # the whole call, so in ``int32`` where the arena allows.
+            base = np.repeat(offsets[:-1].astype(
+                np.int32 if n < ENGINE_LIMIT else np.int64), sizes)
             nxt = np.concatenate([lst.next for lst in lists])
-            ends = nxt == NIL
-            nxt += np.repeat(offsets[:-1], sizes)
-            nxt[ends] = NIL
+            np.add(nxt, base, out=nxt, where=nxt != NIL)
         has_ptr = nxt != NIL
-        tails = np.flatnonzero(~has_ptr)  # one per list, in list order
+        tails = np.flatnonzero(~has_ptr)  # one per list, in arena order
         cnext = nxt.copy()
         cnext[tails] = heads
         interior = has_ptr.copy()
@@ -206,9 +219,12 @@ class _Prep:
         before = np.full(last.size, n, dtype=np.int64)
         before[np.searchsorted(last, nxt[src])] = src
         self.lists = tuple(lists)
+        self.order = order
         self.n = n
         self.sizes = sizes
         self.offsets = offsets
+        self.base = base
+        self.singles = int(np.searchsorted(sizes, 2))
         self.nxt = nxt
         self.cnext = cnext
         self.ndx = np.where(succ, nxt, np.int64(n))
@@ -219,12 +235,12 @@ class _Prep:
         self.last = last
         self.before = before
 
-    def local(self) -> np.ndarray:
-        """Each node's address within its own list."""
-        addr = np.arange(self.n, dtype=np.int64)
-        if self.sizes.size > 1:
-            addr -= np.repeat(self.offsets[:-1], self.sizes)
-        return addr
+    def per_size(self, f) -> np.ndarray:
+        """``f(size)`` for each list, computed once per distinct size."""
+        sizes, first = np.unique(self.sizes, return_index=True)
+        return np.repeat(np.array([f(nb) for nb in sizes.tolist()],
+                                  dtype=np.int64),
+                         np.diff(first, append=self.sizes.size))
 
 
 def _require_supported(n: int) -> None:
@@ -243,35 +259,44 @@ def _labels(prep: _Prep, rounds: np.ndarray, kind: str,
             cost: CostModel | None) -> np.ndarray:
     """Per-list f iteration over the arena.
 
-    List ``b`` iterates ``rounds[b]`` rounds; its nodes freeze afterwards
-    while longer lists continue.  With no rounds at all the labels are
-    the local addresses; otherwise they are ``int8``, and a zero-round
-    list (a singleton) keeps its local address, 0.
+    List ``b`` iterates ``rounds[b]`` rounds, which never fall as the
+    lists grow, so the lists still iterating in a round are the
+    arena's tail; earlier nodes keep their labels while longer lists
+    continue.  With no rounds at all the labels are the local
+    addresses; otherwise they are ``int8``, and a zero-round list (a
+    singleton) keeps its local address, 0.
     """
     max_rounds = int(rounds.max())
-    a = prep.local()
+    n = prep.n
+    # starts[r - 1]: the first node of the lists that iterate round r.
+    starts = prep.offsets[np.searchsorted(
+        rounds, np.arange(1, max_rounds + 1))].tolist()
+    lo = starts[0] if starts else 0
+    base = prep.base
+    # Local addresses, in the base's dtype.
+    a = np.arange(lo, n, dtype=np.int64 if base is None else base.dtype)
+    if base is not None:
+        a -= base[lo:]
     if max_rounds == 0:
         return a
     if telemetry_enabled():
         METRICS.counter("engine.f_rounds").inc(max_rounds)
+    b = prep.cnext[lo:]  # and the successors'
+    if base is not None:
+        b = np.subtract(b, base[lo:], dtype=base.dtype)
     bound = int(prep.sizes.max())
-    b = prep.cnext
-    if prep.sizes.size > 1:  # the successor's local address
-        b = b - (np.arange(prep.n, dtype=np.int64) - a)
     labels = _f_values(a, b, bound, kind)
     del a, b
-    mixed = bool((rounds != max_rounds).any())
-    needed = np.repeat(rounds, prep.sizes) if mixed else None
-    if mixed:
-        labels[needed < 1] = 0
+    if lo:
+        labels = np.concatenate([np.zeros(lo, dtype=np.int8), labels])
     if cost is not None:
-        cost.parallel(int(prep.sizes[rounds >= 1].sum()))
+        cost.parallel(n - lo)
     for r in range(2, max_rounds + 1):
-        new = _f_table_round(labels, prep.cnext,
-                             max_label_after(bound, r - 1), kind)
-        labels = np.where(needed >= r, new, labels) if mixed else new
+        lo = starts[r - 1]
+        labels[lo:] = _f_table_round(labels[lo:], labels[prep.cnext[lo:]],
+                                     max_label_after(bound, r - 1), kind)
         if cost is not None:
-            cost.parallel(int(prep.sizes[rounds >= r].sum()))
+            cost.parallel(n - lo)
     return labels
 
 
@@ -320,8 +345,10 @@ def _cut_and_walk(prep: _Prep, labels: np.ndarray, cost: CostModel | None,
     cut &= pred_gt
     cut &= prep.interior
     del lab_next, pred_gt
+    # A singleton holds no pointer: it is charged for neither the cut
+    # nor the end repair.
     if cost is not None:
-        cost.parallel(n)
+        cost.parallel(n - prep.singles)
 
     # A pointer is *live* when it survived the cut.  A segment starts
     # at each live head and after each cut pointer, unless a tail
@@ -362,10 +389,7 @@ def _cut_and_walk(prep: _Prep, labels: np.ndarray, cost: CostModel | None,
     repair = prep.last[~chosen[prep.last] & ~chosen[prep.before]]
     chosen[repair] = True
     if cost is not None:
-        if prep.sizes.size == 1:
-            cost.sequential(1)
-        else:
-            cost.parallel(int(prep.sizes.size))
+        cost.parallel(prep.sizes.size - prep.singles)
 
     tails = np.flatnonzero(chosen[:n])
     stats = CutWalkStats(
@@ -446,16 +470,14 @@ def _match1(prep: _Prep, *, p: int, kind: str = "msb",
             f"rounds must be >= 0, got {rounds}")
     cost = CostModel(p)
     rpl = (np.full(prep.sizes.size, rounds, dtype=np.int64)
-           if rounds is not None
-           else np.array([G(nb) for nb in prep.sizes.tolist()],
-                         dtype=np.int64))
-    rpl[prep.sizes == 1] = 0
+           if rounds is not None else prep.per_size(G))
+    rpl[:prep.singles] = 0
     with cost.phase("iterate"):
         labels = _labels(prep, rpl, kind, cost)
     b = _unbounded_list(prep, labels)
     if b is not None:
         o, hi = int(prep.offsets[b]), int(prep.offsets[b + 1])
-        name = f"list {b}: " if prep.sizes.size > 1 else ""
+        name = f"list {int(prep.order[b])}: " if prep.sizes.size > 1 else ""
         raise VerificationError(
             f"{name}labels not constant-size after {int(rpl[b])} rounds "
             f"(max {int(labels[o:hi].max())}); pass more rounds"
@@ -478,16 +500,6 @@ def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
     if not isinstance(lst, LinkedList):
         lst = LinkedList(lst)
     _require_supported(lst.n)
-    if lst.n == 1:
-        require(rounds is None or rounds >= 0,
-                f"rounds must be >= 0, got {rounds}")
-        cost = CostModel(p)
-        with cost.phase("iterate"):
-            pass
-        with cost.phase("cutwalk"):
-            pass
-        return (Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
-                cost.report(), CutWalkStats(0, 0, 0, False))
     tails, report, stats = _match1(_Prep([lst]), p=p, kind=kind,
                                    rounds=rounds)
     return Matching(lst, tails, pre_verified=True), report, stats
@@ -500,10 +512,31 @@ def match1(lst: LinkedList, *, p: int = 1, kind: str = "msb",
 #: Keys are ``label * 64 + position``: labels and block widths stay
 #: below 62 under :data:`ENGINE_LIMIT`, and a padding slot's label, 63,
 #: ranks after every real one.
-_PAD_KEY = 63 * 64
+_PAD_LABEL = 63
 #: Bytes of the block-rank kernel's comparison temporary per chunk
 #: (``x * x`` per block of ``x`` keys).
 _RANK_TEMP = 6 << 20
+
+
+def _rank_blocks(labels8: np.ndarray, x: int) -> np.ndarray:
+    """Stable rank of each label within its block of ``x`` consecutive
+    labels (``labels8.size`` a multiple of ``x``), in ``labels8``'s
+    order.
+
+    The blocks are the columns of one ``x``-row key matrix, ranked a
+    chunk at a time: each chunk is one broadcast comparison and one sum.
+    """
+    blocks = labels8.size // x
+    keys = np.empty((x, blocks), dtype=np.int16)
+    np.multiply(labels8.reshape(blocks, x).T, 64, out=keys, dtype=np.int16)
+    keys += np.arange(x, dtype=np.int16)[:, None]
+    rank = np.empty_like(keys, dtype=np.int8)
+    w = max(1, _RANK_TEMP // (x * x))
+    for j in range(0, blocks, w):
+        k = keys[:, j:j + w]
+        np.sum(k[None] < k[:, None], axis=1, dtype=np.int8,
+               out=rank[:, j:j + w])
+    return rank.T.reshape(-1)
 
 
 def _block_ranks(prep: _Prep, labels8: np.ndarray, xs: np.ndarray,
@@ -513,35 +546,40 @@ def _block_ranks(prep: _Prep, labels8: np.ndarray, xs: np.ndarray,
     List ``b`` cuts its nodes into blocks of ``xs[b]`` consecutive
     addresses.  The rank equals the row the reference layout's stable
     per-column counting sort assigns: the number of (label, position)
-    keys in the block that are smaller.  Every block is padded to the
-    widest ``x`` with keys that rank last, and the blocks are ranked as
-    the columns of one ``x``-row matrix, a chunk at a time: each chunk
-    is one broadcast comparison and one sum.
+    keys in the block that are smaller.  Consecutive lists of one width
+    (in a size-sorted arena, a width class) are ranked together as an
+    arena slice: their full blocks as one matrix, and their partial
+    last blocks, padded with keys that rank last, as one small matrix.
+    Where only the slice's last list ends in a partial block, the full
+    blocks are the slice's head and need no mask.
     """
-    n = prep.n
-    x = int(xs.max())
-    ys = (prep.sizes + xs - 1) // xs
-    keys = np.full((int(ys.sum()), x), _PAD_KEY, dtype=np.int16)
-    slots = None
-    if prep.sizes.size == 1:
-        np.multiply(labels8, 64, out=keys.reshape(-1)[:n], dtype=np.int16)
-    else:
-        # Node -> slot: list b's blocks start at row sum(ys[:b]).
-        slots, col = np.divmod(prep.local(), np.repeat(xs, prep.sizes))
-        slots += np.repeat(np.cumsum(ys) - ys, prep.sizes)
-        slots *= x
-        slots += col
-        keys.reshape(-1)[slots] = labels8.astype(np.int16) * np.int16(64)
-    keys += np.arange(x, dtype=np.int16)
-    keys = keys.T.copy()
-    rank = np.empty_like(keys, dtype=np.int8)
-    w = max(1, _RANK_TEMP // (x * x))
-    for j in range(0, keys.shape[1], w):
-        k = keys[:, j:j + w]
-        np.sum(k[None] < k[:, None], axis=1, dtype=np.int8,
-               out=rank[:, j:j + w])
-    rank = rank.T.reshape(-1)
-    return rank[:n] if slots is None else rank[slots]
+    rank = np.empty(prep.n, dtype=np.int8)
+    runs = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    for j0, j1 in zip([0, *runs.tolist()], [*runs.tolist(), xs.size]):
+        x = int(xs[j0])
+        lo, hi = int(prep.offsets[j0]), int(prep.offsets[j1])
+        sizes = prep.sizes[j0:j1]
+        part = sizes % x
+        labs, out = labels8[lo:hi], rank[lo:hi]
+        if part[:-1].any():
+            full = np.repeat(np.tile([True, False], sizes.size),
+                             np.stack([sizes - part, part], axis=1).ravel())
+            tail = ~full
+        else:
+            full = slice(0, hi - lo - int(part[-1]))
+            tail = slice(full.stop, hi - lo)
+        out[full] = _rank_blocks(labs[full], x)
+        part = part[part > 0]
+        if part.size:
+            # Node -> slot of the padded matrix: row r holds the r-th
+            # partial block from its first column.
+            slot = np.arange(int(part.sum()), dtype=np.int64)
+            slot += np.repeat(np.arange(part.size) * x - (np.cumsum(part)
+                                                          - part), part)
+            padded = np.full(part.size * x, _PAD_LABEL, dtype=np.int8)
+            padded[slot] = labs[tail]
+            out[tail] = _rank_blocks(padded, x)[slot]
+    return rank
 
 
 _MEX_TABLES: tuple[np.ndarray, np.ndarray] | None = None
@@ -621,8 +659,8 @@ def _sweep(prep: _Prep, labels8: np.ndarray, row: np.ndarray,
 
 def _match4_widths(prep: _Prep, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-list block width ``x`` and block count ``y``."""
-    xs = np.array([max(2, max_label_after(int(nb), i)) if nb > 1 else 1
-                   for nb in prep.sizes.tolist()], dtype=np.int64)
+    xs = prep.per_size(
+        lambda nb: max(2, max_label_after(nb, i)) if nb > 1 else 1)
     return xs, (prep.sizes + xs - 1) // xs
 
 
@@ -696,6 +734,10 @@ def _match4(prep: _Prep, *, p: int, iterations: int = 2, kind: str = "msb",
     report, cutwalk stats, num_intra)``."""
     _check_match4_options(iterations, strategy, step1_table)
     cost = CostModel(p)
+    if prep.singles == prep.sizes.size:
+        # No list holds a pointer, and the reference opens no phase.
+        return (np.empty(0, dtype=np.int64), cost.report(),
+                CutWalkStats(0, 0, 0, False), 0)
     l6e, num_intra = _six_set(prep, iterations, kind, cost)
     if check:
         _check_six_set(prep, l6e)
@@ -726,18 +768,11 @@ def match4(lst: LinkedList, *, p: int = 1, iterations: int = 2,
     n = lst.n
     _require_supported(n)
     i = iterations
-    if n == 1:
-        _check_match4_options(i, strategy, step1_table)
-        return (
-            Matching(lst, np.empty(0, dtype=np.int64), pre_verified=True),
-            CostModel(p).report(),
-            Match4Stats(i, strategy, 1, 1, 0, 0, CutWalkStats(0, 0, 0, False)),
-        )
     tails, report, cw, num_intra = _match4(
         _Prep([lst]), p=p, iterations=i, kind=kind, strategy=strategy,
         step1_table=step1_table, check=check,
     )
-    x = max(2, max_label_after(n, i))
+    x = max(2, max_label_after(n, i)) if n > 1 else 1
     stats = Match4Stats(
         i=i, strategy=strategy, x=x, y=ceil_div(n, x),
         num_inter=(n - 1) - num_intra, num_intra=num_intra, cutwalk=cw,

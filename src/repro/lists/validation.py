@@ -2,7 +2,7 @@
 
 Every public algorithm entry point validates its input once, up front,
 so algorithm internals can assume a well-formed simple path.  One
-check, :func:`path_components`, serves a single list (the one-component
+recursion, :func:`_reach`, serves a single list (the one-component
 case), a :class:`~repro.lists.forest.Forest`, and a batch of lists laid
 end to end in one arena.
 
@@ -23,8 +23,13 @@ arXiv:2002.05034):
   ruler is never reached, since its nodes' only predecessors are on it;
 - the non-head rulers, linked ruler to ruler, form the next level, in
   which each head's successor ruler is a head; a level of at most
-  :data:`SMALL` nodes is walked in Python;
-- component ids come back down through each level's owner array.
+  :data:`SMALL` nodes is walked in Python.
+
+A check only counts: every node is reached from a head iff, at every
+level, the walks visit every node, since a node is reached iff the
+ruler whose walk visited it is.  Labels are built for
+:func:`path_components` alone (and to word a list's error): component
+ids come back down through each level's owner array.
 
 Each level has at most ``ceil(m / K)`` nodes, so the work is O(n).
 """
@@ -77,41 +82,64 @@ def path_components(next_) -> tuple[np.ndarray, np.ndarray]:
     """
     next_ = as_index_array(next_, name="NEXT")
     _check_range(next_)
-    return _components(next_, int(np.count_nonzero(next_ == NIL)))
+    heads = _heads(next_, int(np.count_nonzero(next_ == NIL)))
+    component = _reach(next_, heads, np.arange(heads.size, dtype=np.int64))
+    if next_.size and int(component.min()) < 0:
+        # A self-loop's node has no other predecessor, so no head
+        # reaches it: only here can one hide.
+        _check_self_loops(next_)
+    return heads, component
 
 
 def each_is_one_path(arrays: list[np.ndarray]) -> bool:
     """Whether each ``int64`` array is one simple path over its own
     nodes, as :func:`validate_next_array` requires.
 
-    The arrays are checked together: laid end to end in one arena, they
-    form a forest that is valid iff every node's component is its own
-    array's.
+    The arrays are checked together, laid end to end in one arena: the
+    range and one-nil checks are whole-arena passes, segment by
+    segment.  They keep every pointer inside its own array, and with
+    in-degree at most 1 they leave each array exactly one head, so the
+    arena is valid iff every node is reached from a head.
     """
+    if not arrays:
+        return True
     sizes = np.array([nxt.size for nxt in arrays], dtype=np.int64)
-    arena = np.empty(int(sizes.sum()), dtype=np.int64)
-    o = 0
+    # ``reduceat`` reads an empty segment as its first entry: reject
+    # empty arrays before it runs.
+    if not sizes.all():
+        return False
+    starts = np.zeros(sizes.size, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    arena = np.concatenate(arrays)
+    if (np.minimum.reduceat(arena, starts) < NIL).any():
+        return False
+    if (np.maximum.reduceat(arena, starts) >= sizes).any():
+        return False
+    nil = arena == NIL
+    # One nil per array: as many nils as arrays, the j-th in array j.
+    # ``_heads`` counts predecessors against this number, which proves
+    # in-degree at most 1 only when it is the true nil count.
+    tails = np.flatnonzero(nil)
+    if tails.size != sizes.size:
+        return False
+    tails -= starts
+    if ((tails < 0) | (tails >= sizes)).any():
+        return False
+    if sizes.size > 1:
+        np.add(arena, np.repeat(starts, sizes), out=arena, where=~nil)
+    del nil
     try:
-        for nxt in arrays:
-            n = nxt.size
-            _check_range(nxt)
-            if n == 0 or np.count_nonzero(nxt == NIL) != 1:
-                return False
-            seg = arena[o:o + n]
-            seg[:] = nxt
-            seg[nxt != NIL] += o
-            o += n
-        _, component = _components(arena, len(arrays))
+        heads = _heads(arena, sizes.size)
     except InvalidListError:
         return False
-    return bool(np.array_equal(
-        component, np.repeat(np.arange(sizes.size), sizes)))
+    return _reach(arena, heads, None)
 
 
-def _components(next_: np.ndarray,
-                nils: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`path_components` of a range-checked ``int64`` array with
-    ``nils`` nil entries."""
+def _heads(next_: np.ndarray, nils: int) -> np.ndarray:
+    """The nodes without a predecessor of a range-checked ``int64``
+    array with ``nils`` nil entries, in ascending order; raises
+    :class:`InvalidListError` for a node with two predecessors or a
+    self-loop that gives its node a second one."""
     n = next_.size
     # hit[v]: v has a predecessor; nil entries land in slot n.
     hit = np.zeros(n + 1, dtype=bool)
@@ -123,14 +151,7 @@ def _components(next_: np.ndarray,
         bad = int(np.argmax(indegree > 1))
         raise InvalidListError(
             f"node {bad} has {int(indegree[bad])} predecessors")
-    heads = np.flatnonzero(~hit)
-    del hit
-    component = _label(next_, heads, np.arange(heads.size, dtype=np.int64))
-    if n and int(component.min()) < 0:
-        # A self-loop's node has no other predecessor, so no head
-        # reaches it: only here can one hide.
-        _check_self_loops(next_)
-    return heads, component
+    return np.flatnonzero(~hit)
 
 
 def _check_self_loops(next_: np.ndarray) -> None:
@@ -139,11 +160,14 @@ def _check_self_loops(next_: np.ndarray) -> None:
         raise InvalidListError(f"self-loop at node {int(np.argmax(loops))}")
 
 
-def _label(nxt: np.ndarray, heads: np.ndarray,
-           labels: np.ndarray) -> np.ndarray:
-    """Each node's head label (``-1`` when no head reaches it) for one
-    level: ``nxt`` has in-degree at most 1 and ``heads`` are its
-    in-degree-0 nodes, ``labels`` their labels."""
+def _reach(nxt: np.ndarray, heads: np.ndarray, labels: np.ndarray | None):
+    """Reachability from the heads for one level: ``nxt`` has in-degree
+    at most 1 and ``heads`` are its in-degree-0 nodes.
+
+    With ``labels`` (the heads' labels), returns each node's head label,
+    ``-1`` where no head reaches it.  With ``None``, only counts:
+    returns whether every node is reached.
+    """
     m = nxt.size
     if m <= SMALL:
         return _walk(nxt, heads, labels)
@@ -170,6 +194,8 @@ def _label(nxt: np.ndarray, heads: np.ndarray,
     del ends, last
     end = np.empty(rulers.size, dtype=np.int64)
     reached = _advance(step, rulers, m, end)
+    if labels is None and reached < m:
+        return False
     # The next level: the non-head rulers, renumbered by ``rank``, each
     # linked to the ruler its walk ended at (``end``, -1 at nil).
     end = step[end] - np.int64(m)
@@ -181,9 +207,11 @@ def _label(nxt: np.ndarray, heads: np.ndarray,
     rank[kept] = np.arange(kept.size, dtype=np.int64)
     succ = end[head_ids]
     starts = succ != NIL
+    if labels is None:
+        return _reach(rank[end[kept]], rank[succ[starts]], None)
     ruler_label = np.full(rulers.size + 1, -1, dtype=np.int64)
     ruler_label[head_ids] = labels
-    ruler_label[kept] = _label(rank[end[kept]], rank[succ[starts]],
+    ruler_label[kept] = _reach(rank[end[kept]], rank[succ[starts]],
                                labels[starts])
     owner = step[:m].astype(np.int64)
     owner -= m
@@ -222,11 +250,18 @@ def _advance(step: np.ndarray, cur: np.ndarray, m: int,
     return reached
 
 
-def _walk(nxt: np.ndarray, heads: np.ndarray,
-          labels: np.ndarray) -> np.ndarray:
-    """Plain walks from every head: the base case of :func:`_label`."""
+def _walk(nxt: np.ndarray, heads: np.ndarray, labels: np.ndarray | None):
+    """Plain walks from every head: the base case of :func:`_reach`."""
+    sv = memoryview(nxt)
+    if labels is None:
+        seen = 0
+        for v in heads.tolist():
+            while v >= 0:
+                seen += 1
+                v = sv[v]
+        return seen == nxt.size
     out = np.full(nxt.size, -1, dtype=np.int64)
-    sv, ov = memoryview(nxt), memoryview(out)
+    ov = memoryview(out)
     for v, label in zip(heads.tolist(), labels.tolist()):
         while v >= 0:
             ov[v] = label
@@ -262,10 +297,13 @@ def validate_next_array(next_: np.ndarray) -> int:
             f"a simple path has exactly one nil pointer; found {nils}"
         )
     # One nil and injective successors leave exactly one head.
-    heads, component = _components(next_, nils)
+    heads = _heads(next_, nils)
     head = int(heads[0])
-    seen = int(np.count_nonzero(component == 0))
-    if seen != n:
+    if not _reach(next_, heads, None):
+        _check_self_loops(next_)
+        # Labels only to word the error: the head's component size.
+        seen = int(np.count_nonzero(
+            _reach(next_, heads, np.zeros(1, dtype=np.int64)) == 0))
         raise InvalidListError(
             f"path from head {head} covers {seen} of {n} nodes; "
             f"a disconnected cycle exists"

@@ -154,25 +154,41 @@ def _break(nxt, defect):
         nxt[path[-1]] = path[half]
 
 
+def _error_names_the_list(defect, b, workers):
+    lists = _raw_batch([64, 3000, 1, 700, 3000, 2500], seed=b)
+    _break(lists[b], defect)
+    with pytest.raises(InvalidListError, match=MESSAGES[defect]) as single:
+        validate_next_array(lists[b])
+    with pytest.raises(InvalidListError) as batch:
+        batch_maximal_matching(lists, workers=workers)
+    assert str(batch.value) == f"list {b}: {single.value}"
+
+
+def _first_bad_list_is_named(workers):
+    lists = _raw_batch([3000, 3000, 3000], seed=1)
+    _break(lists[1], "disjoint_cycle")
+    _break(lists[2], "out_of_range")
+    with pytest.raises(InvalidListError, match="^list 1: path from"):
+        batch_maximal_matching(lists, workers=workers)
+
+
 class TestBatchValidation:
     @pytest.mark.parametrize("defect", DEFECTS)
     @pytest.mark.parametrize("b", [0, 3, 5])
     def test_error_names_the_list(self, defect, b, contraction):
-        lists = _raw_batch([64, 3000, 1, 700, 3000, 2500], seed=b)
-        _break(lists[b], defect)
-        with pytest.raises(InvalidListError,
-                           match=MESSAGES[defect]) as single:
-            validate_next_array(lists[b])
-        with pytest.raises(InvalidListError) as batch:
-            batch_maximal_matching(lists)
-        assert str(batch.value) == f"list {b}: {single.value}"
+        _error_names_the_list(defect, b, workers=None)
+
+    # A sharded batch names a bad list by its index in the batch too.
+    @pytest.mark.parametrize("defect", DEFECTS)
+    @pytest.mark.parametrize("b", [0, 3, 5])
+    def test_sharded_error_names_the_list(self, defect, b, contraction):
+        _error_names_the_list(defect, b, workers=2)
 
     def test_first_bad_list_is_named(self):
-        lists = _raw_batch([3000, 3000, 3000], seed=1)
-        _break(lists[1], "disjoint_cycle")
-        _break(lists[2], "out_of_range")
-        with pytest.raises(InvalidListError, match="^list 1: path from"):
-            batch_maximal_matching(lists)
+        _first_bad_list_is_named(workers=None)
+
+    def test_sharded_first_bad_list_is_named(self):
+        _first_bad_list_is_named(workers=2)
 
     def test_empty_list_is_named(self):
         lists = _raw_batch([5, 6], seed=2) + [np.empty(0, dtype=np.int64)]

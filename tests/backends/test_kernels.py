@@ -54,11 +54,33 @@ class TestBlockRanks:
             xs = rng.integers(1, 13, size=sizes.size)
             labels = [rng.integers(0, x, size=n).astype(np.int8)
                       for n, x in zip(sizes, xs)]
-            got = engine._block_ranks(_arena(sizes.tolist()),
-                                      np.concatenate(labels), xs)
-            want = np.concatenate([_stable_block_ranks(lab, int(x))
-                                   for lab, x in zip(labels, xs)])
-            assert np.array_equal(got, want), trial
+            assert np.array_equal(*_ranks_in_arena_order(sizes, xs, labels)), \
+                trial
+
+    @pytest.mark.parametrize("x", [2, 5, 10])
+    def test_width_class_with_partial_blocks(self, x):
+        # Lists of one width: partial last blocks inside the class (a
+        # masked slice) and at its end only (a plain slice).
+        rng = np.random.default_rng(x)
+        for sizes in ([3 * x, 3 * x + 1, 7 * x, 7 * x + x - 1, 9],
+                      [x, 2 * x, 5 * x, 5 * x + 1], [1, 1, 4 * x + 3]):
+            sizes = np.array(sizes)
+            xs = np.full(sizes.size, x)
+            labels = [rng.integers(0, x, size=n).astype(np.int8)
+                      for n in sizes]
+            assert np.array_equal(*_ranks_in_arena_order(sizes, xs, labels))
+
+
+def _ranks_in_arena_order(sizes, xs, labels):
+    """``_block_ranks`` of lists with the given sizes, widths and labels,
+    and the oracle's ranks, both in the arena's (size-sorted) order."""
+    prep = _arena(sizes.tolist())
+    order = prep.order.tolist()
+    got = engine._block_ranks(prep, np.concatenate([labels[b] for b in order]),
+                              xs[order])
+    want = np.concatenate([_stable_block_ranks(labels[b], int(xs[b]))
+                           for b in order])
+    return got, want
 
 
 class TestRoundOne:
@@ -97,7 +119,7 @@ ALGO_CASES = [
 
 @pytest.mark.parametrize("algorithm,kwargs", ALGO_CASES)
 def test_one_list_batch_reports_the_single_list_cost(algorithm, kwargs):
-    for n in list(range(2, 40)) + [64, 100, 1000, 4096]:
+    for n in list(range(1, 40)) + [64, 100, 1000, 4096]:
         lst = repro.random_list(n, rng=n)
         solo = repro.maximal_matching(lst, algorithm=algorithm,
                                       backend="numpy", p=3, **kwargs)
@@ -105,6 +127,19 @@ def test_one_list_batch_reports_the_single_list_cost(algorithm, kwargs):
                                        **kwargs)
         assert batch.report == solo.report, n
         assert np.array_equal(batch.matchings[0].tails, solo.matching.tails)
+
+
+@pytest.mark.parametrize("algorithm,kwargs", ALGO_CASES)
+def test_singletons_add_nothing_to_a_batch_report(algorithm, kwargs):
+    sizes = [1, 64, 1, 700, 1]
+    lists = [repro.random_list(n, rng=b) for b, n in enumerate(sizes)]
+    batch = batch_maximal_matching(lists, algorithm=algorithm, p=3, **kwargs)
+    rest = batch_maximal_matching([lst for lst in lists if lst.n > 1],
+                                  algorithm=algorithm, p=3, **kwargs)
+    assert batch.report == rest.report
+    assert [m.size for m in batch.matchings] == [0, *rest.stats.matched[:1],
+                                                 0, *rest.stats.matched[1:],
+                                                 0]
 
 
 @pytest.mark.parametrize("algorithm", ["match1", "match4"])

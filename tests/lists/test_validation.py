@@ -14,9 +14,14 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.backends.batch import batch_maximal_matching
 from repro.errors import InvalidListError
 from repro.lists import NIL, validation
-from repro.lists.validation import path_components, validate_next_array
+from repro.lists.validation import (
+    each_is_one_path,
+    path_components,
+    validate_next_array,
+)
 
 
 def walk_validate(next_):
@@ -211,6 +216,35 @@ class TestExhaustive:
     def test_empty_array_has_no_components(self):
         heads, component = path_components(np.empty(0, dtype=np.int64))
         assert heads.size == 0 and component.size == 0
+
+    def test_one_array_batch_check_matches_the_list_check(self, contraction):
+        assert each_is_one_path([])
+        # Every array of n <= 5 nodes: 8,476.
+        for n in range(1, 6):
+            for entries in itertools.product(range(NIL, n), repeat=n):
+                nxt = np.array(entries, dtype=np.int64)
+                want = outcome(validate_next_array, nxt)[0] == "ok"
+                assert each_is_one_path([nxt]) == want, entries
+
+    @pytest.mark.parametrize("b", [0, 1])
+    def test_every_small_array_in_a_batch(self, b, contraction):
+        # Every array of n <= 4 nodes (700) as list b of three, the
+        # others valid: the batch accepts exactly what the list check
+        # does, and otherwise names list b with the list check's text.
+        others = [next_from_order(np.array([2, 0, 4, 1, 3]), 5),
+                  next_from_order(np.array([1, 0, 2]), 3)]
+        for n in range(1, 5):
+            for entries in itertools.product(range(NIL, n), repeat=n):
+                nxt = np.array(entries, dtype=np.int64)
+                lists = others[:b] + [nxt] + others[b:]
+                want = outcome(validate_next_array, nxt)
+                try:
+                    batch_maximal_matching(lists, algorithm="match1")
+                except InvalidListError as exc:
+                    assert want[0] != "ok", entries
+                    assert str(exc) == f"list {b}: {want[1]}", entries
+                else:
+                    assert want[0] == "ok", entries
 
 
 class TestAtScale:
