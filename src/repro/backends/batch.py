@@ -157,7 +157,8 @@ def batch_maximal_matching(
 
     ``workers`` engages :mod:`repro.parallel`: the batch is sharded by
     node-balanced contiguous ranges across that many worker processes,
-    each running this function serially on its shard.  ``workers=None``
+    each running this function's serial driver on its shard (an error
+    still names a list by its index in ``lists``).  ``workers=None``
     (default) is serial.  ``workers`` must be an int >= 1; anything
     else raises :class:`InvalidParameterError` (a ``ValueError``)
     before any pool exists.
@@ -189,13 +190,8 @@ def batch_maximal_matching(
     :class:`Matching` per input list (in order), the aggregate
     :class:`CostReport`, and :class:`BatchStats`.
     """
-    from ..core.maximal_matching import (
-        ALGORITHMS,
-        maximal_matching,
-        normalize_algorithm_kwargs,
-    )
+    from ..core.maximal_matching import ALGORITHMS, normalize_algorithm_kwargs
     from . import AUTO, auto_backend, get_backend
-    from ..parallel.executor import run_sharded_batch
 
     if algorithm is None:
         algorithm = "match4"
@@ -228,19 +224,55 @@ def batch_maximal_matching(
         _require_supported(int(max(l.n for l in lls)))
     kwargs = normalize_algorithm_kwargs(algorithm, kwargs)
 
+    matchings, report = _run_batch(
+        lls, algorithm=algorithm, backend=backend, p=p, kwargs=kwargs,
+        workers=eff_workers,
+    )
+    stats = BatchStats(
+        num_lists=len(lls),
+        total_nodes=int(sum(l.n for l in lls)),
+        sizes=tuple(l.n for l in lls),
+        matched=tuple(m.size for m in matchings),
+    )
+    return BatchMatchResult(
+        matchings=matchings, report=report, stats=stats,
+        backend=backend, algorithm=algorithm, extras=extras,
+    )
+
+
+def _run_batch(
+    lls: Sequence[LinkedList],
+    *,
+    algorithm: str,
+    backend: str,
+    p: int,
+    kwargs: dict[str, Any],
+    workers: int = 1,
+    first: int | None = None,
+) -> tuple[tuple[Matching, ...], CostReport]:
+    """The batch call on checked lists, a concrete backend and
+    normalized ``kwargs``: ``(matchings, report)``.
+
+    A pool worker runs its shard through here with ``first``, the
+    index of the shard's first list in the whole batch, so that an
+    error names the list by its index in the caller's batch.
+    """
+    from ..core.maximal_matching import maximal_matching
+    from ..parallel.executor import run_sharded_batch
+
     if telemetry_enabled():
         METRICS.histogram("batch.size").observe(len(lls))
 
     with telemetry_span(
         "batch.maximal_matching", algorithm=algorithm, backend=backend,
         num_lists=len(lls), total_nodes=int(sum(l.n for l in lls)), p=p,
-        workers=eff_workers,
+        workers=workers,
     ):
         sharded = None
-        if eff_workers > 1 and len(lls) > 1:
+        if workers > 1 and len(lls) > 1:
             sharded = run_sharded_batch(
                 lls, algorithm=algorithm, p=p, kwargs=kwargs,
-                workers=eff_workers, backend=backend,
+                workers=workers, backend=backend,
             )
         if sharded is not None:
             matchings, report = sharded
@@ -252,7 +284,8 @@ def batch_maximal_matching(
                 prep = _Prep(lls)
                 # The numpy backend implements match1 and match4 only.
                 if algorithm == "match1":
-                    tails, report, _ = _match1(prep, p=p, **kwargs)
+                    tails, report, _ = _match1(prep, p=p, first=first,
+                                               **kwargs)
                 else:
                     tails, report, _, _ = _match4(prep, p=p, **kwargs)
                 matchings = _split_matchings(prep, tails)
@@ -268,14 +301,4 @@ def batch_maximal_matching(
                 cost.absorb(res.report)
             matchings = tuple(collected)
             report = cost.report()
-
-    stats = BatchStats(
-        num_lists=len(lls),
-        total_nodes=int(sum(l.n for l in lls)),
-        sizes=tuple(l.n for l in lls),
-        matched=tuple(m.size for m in matchings),
-    )
-    return BatchMatchResult(
-        matchings=matchings, report=report, stats=stats,
-        backend=backend, algorithm=algorithm, extras=extras,
-    )
+    return matchings, report

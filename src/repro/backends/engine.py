@@ -458,13 +458,14 @@ def _unbounded_list(prep: _Prep, labels: np.ndarray) -> int | None:
 
 
 def _match1(prep: _Prep, *, p: int, kind: str = "msb",
-            rounds: int | None = None,
+            rounds: int | None = None, first: int | None = None,
             ) -> tuple[np.ndarray, CostReport, CutWalkStats]:
     """Match1 over the arena: ``(tails, report, cutwalk stats)``.
 
     Every list iterates ``rounds`` f rounds, ``G`` of its own size by
     default, except a singleton, which iterates none.  In an arena of
-    several lists, a label-bound failure names its list.
+    several lists, or in a shard of a batch whose first list is the
+    batch's list ``first``, a label-bound failure names its list.
     """
     require(rounds is None or rounds >= 0,
             f"rounds must be >= 0, got {rounds}")
@@ -477,7 +478,8 @@ def _match1(prep: _Prep, *, p: int, kind: str = "msb",
     b = _unbounded_list(prep, labels)
     if b is not None:
         o, hi = int(prep.offsets[b]), int(prep.offsets[b + 1])
-        name = f"list {int(prep.order[b])}: " if prep.sizes.size > 1 else ""
+        name = (f"list {(first or 0) + int(prep.order[b])}: "
+                if first is not None or prep.sizes.size > 1 else "")
         raise VerificationError(
             f"{name}labels not constant-size after {int(rpl[b])} rounds "
             f"(max {int(labels[o:hi].max())}); pass more rounds"

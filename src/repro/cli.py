@@ -778,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--max-inflight-mb", type=float, default=64.0,
                     help="in-flight workload bytes before shedding (429)")
     sv.add_argument("--max-batch-items", type=int, default=16,
-                    help="most requests one micro-batch takes")
+                    help="most requests (one list each) one "
+                         "micro-batch takes")
     sv.add_argument("--deadline-ms", type=float, default=1000.0,
                     help="default per-request deadline")
     sv.add_argument("--cache-size", type=int, default=128,

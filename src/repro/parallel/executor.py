@@ -7,7 +7,8 @@ is pickle-cheap raw buffers:
 
 - parent → worker: each list's ``NEXT`` array as ``int64`` bytes (the
   worker rebuilds ``LinkedList`` views without re-validating — the
-  parent already did);
+  parent already did), and the shard's first index in the batch, by
+  which the worker's errors name their lists;
 - worker → parent: per-list tail arrays as bytes, the shard's
   :class:`~repro.pram.cost.CostReport` (a frozen picklable dataclass),
   and — when the parent has telemetry enabled — the worker's captured
@@ -114,9 +115,9 @@ def _run_shard_task(payload: tuple) -> tuple:
     reference).  Returns raw, picklable components only — never
     ``Matching`` objects, which drag the whole list along.
     """
-    (shard, algorithm, backend, p, kwargs, raw_lists, want_spans,
+    (shard, first, algorithm, backend, p, kwargs, raw_lists, want_spans,
      trace_id) = payload
-    from ..backends.batch import batch_maximal_matching
+    from ..backends.batch import _run_batch
     from ..telemetry import capture, disable
 
     lls = [
@@ -131,8 +132,9 @@ def _run_shard_task(payload: tuple) -> tuple:
         # replay, once the parent-side shard span exists).
         ctx = TraceContext(trace_id) if trace_id else None
         with using_trace(ctx), capture(reset_metrics=False) as sink:
-            result = batch_maximal_matching(
-                lls, algorithm=algorithm, backend=backend, p=p, **kwargs
+            matchings, report = _run_batch(
+                lls, algorithm=algorithm, backend=backend, p=p,
+                kwargs=kwargs, first=first,
             )
         span_dicts = [sp.to_dict() for sp in sink.spans]
     else:
@@ -140,13 +142,14 @@ def _run_shard_task(payload: tuple) -> tuple:
         # at pool creation; silence it so a cached pool never writes to
         # a sink the parent since reconfigured.
         disable()
-        result = batch_maximal_matching(
-            lls, algorithm=algorithm, backend=backend, p=p, **kwargs
+        matchings, report = _run_batch(
+            lls, algorithm=algorithm, backend=backend, p=p, kwargs=kwargs,
+            first=first,
         )
         span_dicts = []
     wall = time.perf_counter() - t0
-    blobs = [np.ascontiguousarray(m.tails).tobytes() for m in result.matchings]
-    return shard, blobs, result.report, span_dicts, wall
+    blobs = [np.ascontiguousarray(m.tails).tobytes() for m in matchings]
+    return shard, blobs, report, span_dicts, wall
 
 
 def _replay_spans(tracer, span_dicts: list[dict[str, Any]], shard: int,
@@ -216,6 +219,7 @@ def run_sharded_batch(
     payloads = [
         (
             shard,
+            lo,
             algorithm,
             backend,
             p,
@@ -252,7 +256,7 @@ def run_sharded_batch(
             # The exact serialized payload of this hop: the raw NEXT
             # buffers shipped out, the raw tail buffers shipped back,
             # and the pickled span dicts riding the result.
-            out_b = sum(len(buf) for buf in payloads[shard][5])
+            out_b = sum(len(buf) for buf in payloads[shard][6])
             in_b = sum(len(blob) for blob in blobs)
             if span_dicts:
                 replay_b = len(pickle.dumps(span_dicts))

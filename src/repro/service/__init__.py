@@ -34,7 +34,7 @@ Layers (each its own module):
 See ``docs/service.md`` for endpoint and semantics documentation.
 """
 
-from .batcher import AdmissionQueue, Entry, MicroBatcher, PendingRequest
+from .batcher import AdmissionQueue, MicroBatcher, PendingRequest
 from .cache import ResponseCache
 from .config import ServiceConfig
 from .server import MatchingService
@@ -42,7 +42,6 @@ from .workload import Workload, WorkloadError, parse_workload
 
 __all__ = [
     "AdmissionQueue",
-    "Entry",
     "MatchingService",
     "MicroBatcher",
     "PendingRequest",

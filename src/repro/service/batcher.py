@@ -11,13 +11,14 @@ Two cooperating pieces, both owned by the event loop:
 
 :class:`MicroBatcher`
     A single background task that takes whatever queued while the
-    previous batch computed, up to ``max_batch_items`` and without
-    waiting for more, and dispatches each (algorithm, backend) group
-    through one :func:`~repro.backends.batch.batch_maximal_matching`
-    call in the one compute thread — many small client lists become
-    one arena-fused batch, the throughput form the paper's
-    batch-of-lists framing suggests.  Around that call sit the
-    robustness layers:
+    previous batch computed, up to ``max_batch_items`` requests and
+    without waiting for more, and dispatches each (algorithm, backend)
+    group through one :func:`~repro.backends.batch.batch_maximal_matching`
+    call in the one compute thread — a request carries one list, so
+    many concurrent requests become one arena-fused batch, the
+    throughput form the paper's batch-of-lists framing suggests.  A
+    group's requests are answered once its call returns.  Around that
+    call sit the robustness layers:
 
     - **deadlines** — the server's handler answers 504 through
       :meth:`MicroBatcher.expire` when a request's deadline passes;
@@ -68,7 +69,7 @@ from ..telemetry.spans import (
 from .config import ServiceConfig
 from .workload import Workload
 
-__all__ = ["Entry", "PendingRequest", "AdmissionQueue", "MicroBatcher"]
+__all__ = ["PendingRequest", "AdmissionQueue", "MicroBatcher"]
 
 _log = logging.getLogger(__name__)
 
@@ -81,31 +82,18 @@ SHED_DRAINING = "draining"
 EXPIRED_QUEUED = "deadline expired while queued (not computed)"
 
 
-@dataclass
-class Entry:
-    """One workload inside a request, filled as it is served."""
-
-    workload: Workload
-    #: Response payload once served (from cache, compute, or fallback).
-    payload: dict[str, Any] | None = None
-    #: ``"hit"`` / ``"miss"`` / ``"off"`` — how the cache saw it.
-    cache: str = "off"
-    #: Set instead of ``payload`` when this entry failed terminally.
-    error: str = ""
-
-
 @dataclass(eq=False)  # identity semantics: requests live in sets
 class PendingRequest:
-    """One admitted HTTP request traveling queue → batch → response."""
+    """One admitted HTTP request, one list, traveling queue → batch →
+    response."""
 
-    entries: list[Entry]
+    workload: Workload
     deadline: float  # event-loop clock
     enqueued_at: float
     future: "asyncio.Future[tuple[int, dict[str, Any]]]"
-    single: bool  # /v1/match (unwrap the one entry) vs /v1/batch
-    use_cache: bool
-    #: Byte budget charged at admission (snapshotted: entries fill in
-    #: as they are served, so ``nbytes`` shrinks over time).
+    #: ``"miss"`` (the answer fills the cache) or ``"off"``.
+    cache: str = "off"
+    #: Byte budget charged at admission; zeroed once released.
     admitted_bytes: int = 0
     #: Request trace identity (``None`` when telemetry is disabled).
     #: Carries the preallocated root span id; the ``service.request``
@@ -116,10 +104,6 @@ class PendingRequest:
     #: Set when the request leaves the admission queue: the batcher or
     #: drain picked it, or its deadline passed while it was queued.
     picked: bool = False
-
-    @property
-    def nbytes(self) -> int:
-        return sum(e.workload.nbytes for e in self.entries if e.payload is None)
 
 
 class AdmissionQueue:
@@ -151,7 +135,7 @@ class AdmissionQueue:
             reason = SHED_DRAINING
         elif self.depth >= self.config.max_queue_depth:
             reason = SHED_QUEUE_FULL
-        elif (self.inflight_bytes + request.nbytes
+        elif (self.inflight_bytes + request.workload.nbytes
                 > self.config.max_inflight_bytes):
             reason = SHED_BYTES
         else:
@@ -160,7 +144,7 @@ class AdmissionQueue:
             self.shed_counts[reason] = self.shed_counts.get(reason, 0) + 1
             METRICS.counter(f"service.shed.{reason}").inc()
             return reason
-        request.admitted_bytes = request.nbytes
+        request.admitted_bytes = request.workload.nbytes
         self.inflight_bytes += request.admitted_bytes
         self._queue.append(request)
         self._nonempty.set()
@@ -338,9 +322,7 @@ class MicroBatcher:
         resolve its future, count the answer and emit its span, each
         exactly once: the first of the batcher, :meth:`expire` and
         drain to answer wins."""
-        if request.picked:  # even when already answered or cancelled
-            self.admission.release(request.admitted_bytes)
-            request.admitted_bytes = 0
+        self._release(request)  # even when already answered or cancelled
         if request.future.done():
             return
         loop = asyncio.get_running_loop()
@@ -359,27 +341,34 @@ class MicroBatcher:
             self.errors += 1
             METRICS.counter("service.errors").inc()
         self.observe_request(request.trace, request.ingress_at,
-                             request.entries, single=request.single,
+                             request.workload.n, request.cache,
                              status=status, latency_ms=latency_ms)
         request.future.set_result((status, payload))
 
+    def _release(self, request: PendingRequest) -> None:
+        """Return a picked request's byte budget; a second call returns
+        nothing."""
+        if request.picked:
+            self.admission.release(request.admitted_bytes)
+            request.admitted_bytes = 0
+
     def observe_request(self, trace: TraceContext | None,
-                        ingress_at: float, entries: list[Entry], *,
-                        single: bool, status: int,
-                        latency_ms: float) -> None:
-        """Account one answered request: the live window, and (traced,
+                        ingress_at: float, n: int, cache: str, *,
+                        status: int, latency_ms: float) -> None:
+        """Account one answered request of an ``n``-node list whose
+        cache state is ``cache``: the live window, and (traced,
         telemetry on) its ``service.request`` root span.
 
         Every answer goes through here — batcher-resolved requests and
-        the server's queue-less full cache hits and sheds alike — so
-        the span carries the same attributes on every path.  The span
-        is built foreign rather than via the span stack: the request
+        the server's queue-less cache hits and sheds alike — so the
+        span carries the same attributes on every path.  The span is
+        built foreign rather than via the span stack: the request
         lived across awaits, threads, and possibly worker processes,
         so its span exists only now — with the id that every child
         already parented under via the ambient context.
         """
-        hits = sum(1 for e in entries if e.cache == "hit")
-        lookups = sum(1 for e in entries if e.cache != "off")
+        hits = int(cache == "hit")
+        lookups = int(cache != "off")
         self.live.observe_request(
             latency_ms=latency_ms, status=status,
             cache_hits=hits, cache_lookups=lookups,
@@ -397,9 +386,7 @@ class MicroBatcher:
             {
                 "status": status,
                 "latency_ms": round(latency_ms, 3),
-                "entries": len(entries),
-                "single": single,
-                "n_total": sum(e.workload.n for e in entries),
+                "n": n,
                 "cache_hits": hits,
                 "cache_lookups": lookups,
             },
@@ -409,29 +396,6 @@ class MicroBatcher:
         sp.end = end
         sp.status = "ok" if status == 200 else "error"
         tracer.emit_foreign(sp)
-
-    def _respond(self, request: PendingRequest) -> None:
-        """Shape the final response from the request's filled entries."""
-        payloads = []
-        worst_error = ""
-        for entry in request.entries:
-            if entry.payload is not None:
-                payloads.append({**entry.payload, "cache": entry.cache})
-            else:
-                worst_error = entry.error or "internal error"
-        if worst_error:
-            self._finish(request, 500, {"error": worst_error})
-        elif request.single:
-            self._finish(request, 200, payloads[0])
-        else:
-            self._finish(request, 200, {"results": payloads})
-
-    def _respond_if_served(self, request: PendingRequest) -> bool:
-        """Answer ``request`` if every entry is filled or failed."""
-        if any(e.payload is None and not e.error for e in request.entries):
-            return False
-        self._respond(request)
-        return True
 
     def _shed_expired(self, request: PendingRequest) -> None:
         """504 a request whose deadline passed while queued, uncomputed;
@@ -470,38 +434,33 @@ class MicroBatcher:
         self.batches += 1
         METRICS.counter("service.batches").inc()
         METRICS.histogram("service.batch.requests").observe(len(live))
-        groups: dict[tuple[str, str], list[tuple[PendingRequest, Entry]]] = {}
+        groups: dict[tuple[str, str], list[PendingRequest]] = {}
         for request in live:
-            for entry in request.entries:
-                if entry.payload is not None:
-                    continue  # cache hit riding along in a batch request
-                key = (entry.workload.algorithm, entry.workload.backend)
-                groups.setdefault(key, []).append((request, entry))
-        waiting = live
-        for (algorithm, backend), pairs in groups.items():
-            await self._compute_group(algorithm, backend, pairs)
-            # A request is answered once its own groups have computed.
-            waiting = [request for request in waiting
-                       if not self._respond_if_served(request)]
-        for request in waiting:
-            self._respond(request)
+            key = (request.workload.algorithm, request.workload.backend)
+            groups.setdefault(key, []).append(request)
+        # A group's requests are answered once that group has computed.
+        for (algorithm, backend), requests in groups.items():
+            await self._compute_group(algorithm, backend, requests)
 
     async def _compute_group(
         self,
         algorithm: str,
         backend: str,
-        pairs: list[tuple[PendingRequest, Entry]],
+        requests: list[PendingRequest],
     ) -> None:
         """One fused batch call for one group; any failure degrades
         every member request."""
         # Members answered at their deadline while an earlier group
-        # computed are not computed.
-        pairs = [(req, entry) for req, entry in pairs
-                 if not req.future.done()]
-        if not pairs:
+        # computed are not computed; a cancelled one still returns its
+        # bytes.
+        for req in requests:
+            if req.future.done():
+                self._release(req)
+        requests = [req for req in requests if not req.future.done()]
+        if not requests:
             return
         loop = asyncio.get_running_loop()
-        lists = [entry.workload.lst for _, entry in pairs]
+        lists = [req.workload.lst for req in requests]
         METRICS.histogram("service.batch.lists").observe(len(lists))
         fn = partial(
             self._batch_fn, lists, algorithm=algorithm, backend=backend,
@@ -514,7 +473,7 @@ class MicroBatcher:
         # the compute thread an ambient context parenting thread-root
         # spans under it.
         links = tuple(sorted({
-            req.trace.trace_id for req, _ in pairs if req.trace is not None
+            req.trace.trace_id for req in requests if req.trace is not None
         })) if telemetry_enabled() else ()
         try:
             with telemetry_span(
@@ -533,52 +492,56 @@ class MicroBatcher:
             self.engine_faults += 1
             METRICS.counter("service.engine_faults").inc()
             _log.warning("batch call failed; degrading %d list(s)",
-                         len(pairs), exc_info=True)
+                         len(requests), exc_info=True)
             error = f"{type(exc).__name__}: {exc}"
             if telemetry_enabled():
                 telemetry_event(
                     "service.engine_fault", algorithm=algorithm,
                     backend=backend, error=error,
                 )
-            await self._fallback(pairs, error)
+            await self._fallback(requests, error)
             return
         self.cost.absorb(result.report)
-        for (request, entry), matching in zip(pairs, result.matchings):
-            self.nodes_served += entry.workload.n
-            self._fill(entry, matching, served_by=algorithm, degraded=False)
+        for request, matching in zip(requests, result.matchings):
+            self.nodes_served += request.workload.n
+            self._answer(request, matching, served_by=algorithm,
+                         degraded=False)
 
-    async def _fallback(self, pairs, error: str) -> None:
+    async def _fallback(self, requests: list[PendingRequest],
+                        error: str) -> None:
         """Per-request degradation: reference-tier resilience ladder."""
         loop = asyncio.get_running_loop()
-        for request, entry in pairs:
+        for request in requests:
             if request.future.done():
                 continue  # answered at its deadline
             fn = partial(
-                self._fallback_fn, entry.workload.lst, backend="reference",
-                p=1,
+                self._fallback_fn, request.workload.lst,
+                backend="reference", p=1,
             )
             try:
                 res = await loop.run_in_executor(self._pool(), fn)
             except Exception as exc:  # noqa: BLE001 - the ladder's floor
-                entry.error = (
+                self._finish(request, 500, {"error": (
                     f"degraded path failed after {error}: "
                     f"{type(exc).__name__}: {exc}"
-                )
+                )})
                 continue
             self.degraded += 1
             METRICS.counter("service.degraded").inc()
             served_by = getattr(res, "served_by", "reference-ladder")
-            self.nodes_served += entry.workload.n
-            self._fill(entry, res.matching, served_by=served_by,
-                       degraded=True)
+            self.nodes_served += request.workload.n
+            self._answer(request, res.matching, served_by=served_by,
+                         degraded=True)
             if telemetry_enabled():
                 telemetry_event(
                     "service.degraded", served_by=served_by, cause=error,
                 )
 
-    def _fill(self, entry: Entry, matching, *, served_by: str,
-              degraded: bool) -> None:
-        workload = entry.workload
+    def _answer(self, request: PendingRequest, matching, *,
+                served_by: str, degraded: bool) -> None:
+        """Answer ``request`` 200 with ``matching``, filling the cache
+        on a miss."""
+        workload = request.workload
         payload = {
             "n": workload.n,
             "algorithm": workload.algorithm,
@@ -588,10 +551,10 @@ class MicroBatcher:
             "served_by": served_by,
             "degraded": degraded,
         }
-        if self.cache is not None and entry.cache == "miss":
+        if self.cache is not None and request.cache == "miss":
             # Cached without the request's own ask, so an "auto" and an
             # explicit request for the same backend share the entry.
             self.cache.put(workload.cache_key(), dict(payload))
         if workload.requested_backend is not None:
             payload["requested_backend"] = workload.requested_backend
-        entry.payload = payload
+        self._finish(request, 200, {**payload, "cache": request.cache})

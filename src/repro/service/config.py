@@ -43,7 +43,8 @@ class ServiceConfig:
         Admission bound on the summed node-arena bytes of queued plus
         in-compute requests (8 bytes per node).
     max_batch_items:
-        The most requests one micro-batch takes.  The batcher never
+        The most requests (one list each) one micro-batch takes, and
+        so the most lists one fused engine call gets.  The batcher never
         waits to fill a batch: it takes what queued while the previous
         batch computed.
     default_deadline_ms / max_deadline_ms:

@@ -7,7 +7,6 @@ Endpoints:
 ====================  =====================================================
 ``POST /v1/match``    one list (explicit ``next`` array or ``n/layout/seed``
                       spec) → its maximal matching
-``POST /v1/batch``    ``{"lists": [...]}`` → one matching per list
 ``GET /metrics``      Prometheus text exposition of the live registry
 ``GET /healthz``      liveness (200 while the process runs)
 ``GET /readyz``       readiness (503 once draining)
@@ -17,7 +16,7 @@ Endpoints:
 
 With telemetry enabled, every request is assigned a deterministic
 :class:`~repro.telemetry.context.TraceContext` at ingress (trace id
-hashed from the first workload's canonical cache key plus an ingress
+hashed from the workload's canonical cache key plus an ingress
 sequence number, root span id preallocated) and carries it through
 admission, batching, and the sharded executor — the exporter's
 ``request_trace_events`` then reconstructs one span tree per request
@@ -54,7 +53,7 @@ from ..telemetry.live import LiveAggregator
 from ..telemetry.metrics import METRICS
 from ..telemetry.runrecord import RunRecord, append_record
 from ..telemetry.spans import enabled as telemetry_enabled, get_tracer
-from .batcher import AdmissionQueue, Entry, MicroBatcher, PendingRequest
+from .batcher import AdmissionQueue, MicroBatcher, PendingRequest
 from .cache import ResponseCache
 from .config import ServiceConfig
 from .workload import WorkloadError, parse_workload
@@ -430,9 +429,7 @@ class MatchingService:
                 return 404, {"error": f"no such path: {path}"}
             if method == "POST":
                 if path == "/v1/match":
-                    return await self._handle_match(body, single=True)
-                if path == "/v1/batch":
-                    return await self._handle_match(body, single=False)
+                    return await self._handle_match(body)
                 return 404, {"error": f"no such path: {path}"}
             return 405, {"error": f"method {method} not supported"}
         except Exception as exc:  # noqa: BLE001 - the 500 of last resort
@@ -475,54 +472,34 @@ class MatchingService:
             },
         }
 
-    async def _handle_match(
-        self, body: bytes, *, single: bool,
-    ) -> tuple[int, dict[str, Any]]:
+    async def _handle_match(self, body: bytes) -> tuple[int, dict[str, Any]]:
         ingress_at = time.perf_counter()
         try:
             data = json.loads(body.decode("utf-8"),
                               parse_constant=_reject_constant)
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nesting deeper than the decoder recurses.
             return 400, {"error": f"invalid JSON body: {exc}"}
         if not isinstance(data, dict):
             return 400, {"error": "request body must be a JSON object"}
         try:
-            if single:
-                specs: list[Any] = [data]
-            else:
-                specs = data.get("lists")
-                if not isinstance(specs, list) or not specs:
-                    return 400, {
-                        "error": "'lists' must be a non-empty array"}
-                defaults = {
-                    key: data[key]
-                    for key in ("algorithm", "backend") if key in data
-                }
-                specs = [
-                    {**defaults, **spec} if isinstance(spec, dict) else spec
-                    for spec in specs
-                ]
-            workloads = [
-                parse_workload(
-                    spec,
-                    default_algorithm=self.config.algorithm,
-                    default_backend=self.config.backend,
-                )
-                for spec in specs
-            ]
+            workload = parse_workload(
+                data,
+                default_algorithm=self.config.algorithm,
+                default_backend=self.config.backend,
+            )
         except WorkloadError as exc:
             return 400, {"error": str(exc)}
 
         trace: TraceContext | None = None
         if telemetry_enabled():
-            # Deterministic request identity: the first workload's
-            # canonical cache key plus this process's ingress sequence
-            # number, with the root span id preallocated so children
-            # can parent under a span that is emitted only at finish.
+            # Deterministic request identity: the workload's canonical
+            # cache key plus this process's ingress sequence number,
+            # with the root span id preallocated so children can
+            # parent under a span that is emitted only at finish.
             self._ingress_seq += 1
             trace = TraceContext(
-                derive_trace_id(workloads[0].cache_key(),
-                                self._ingress_seq),
+                derive_trace_id(workload.cache_key(), self._ingress_seq),
                 get_tracer().next_id(),
             )
 
@@ -530,51 +507,41 @@ class MatchingService:
         if isinstance(deadline_ms, bool) or not isinstance(
                 deadline_ms, (int, float)):
             return 400, {"error": "'deadline_ms' must be a number"}
-        deadline_ms = min(max(float(deadline_ms), 1.0),
-                          self.config.max_deadline_ms)
+        # Clamped before the float conversion: an integer past float
+        # range still compares.
+        deadline_ms = float(min(max(deadline_ms, 1.0),
+                                self.config.max_deadline_ms))
         use_cache = data.get("cache", True)
         if not isinstance(use_cache, bool):
             return 400, {"error": "'cache' must be a boolean"}
-        use_cache = use_cache and bool(self.config.cache_size)
+        cache = "miss" if use_cache and self.config.cache_size else "off"
 
-        entries = []
-        for workload in workloads:
-            entry = Entry(workload=workload,
-                          cache="miss" if use_cache else "off")
-            if use_cache:
-                hit = self.cache.get(workload.cache_key())
-                if hit is not None:
-                    entry.payload = dict(hit)
-                    if workload.requested_backend is not None:
-                        entry.payload["requested_backend"] = \
-                            workload.requested_backend
-                    entry.cache = "hit"
-            entries.append(entry)
-
-        loop = asyncio.get_running_loop()
-        now = loop.time()
-        if all(entry.payload is not None for entry in entries):
-            # Every list was cached: answer without queue or compute.
+        hit = (self.cache.get(workload.cache_key())
+               if cache == "miss" else None)
+        if hit is not None:
+            # Answered without queue or compute.
             self._direct_served += 1
             METRICS.counter("service.served").inc()
             METRICS.histogram("service.latency_ms").observe(0.0)
             self.batcher.observe_request(
-                trace, ingress_at, entries, single=single, status=200,
+                trace, ingress_at, workload.n, "hit", status=200,
                 latency_ms=(time.perf_counter() - ingress_at) * 1000.0)
-            payloads = [{**e.payload, "cache": e.cache} for e in entries]
-            extra = ({"trace_id": trace.trace_id}
-                     if trace is not None else {})
-            if single:
-                return 200, {**payloads[0], "latency_ms": 0.0, **extra}
-            return 200, {"results": payloads, "latency_ms": 0.0, **extra}
+            payload = dict(hit)
+            if workload.requested_backend is not None:
+                payload["requested_backend"] = workload.requested_backend
+            payload.update(cache="hit", latency_ms=0.0)
+            if trace is not None:
+                payload["trace_id"] = trace.trace_id
+            return 200, payload
 
+        loop = asyncio.get_running_loop()
+        now = loop.time()
         request = PendingRequest(
-            entries=entries,
+            workload=workload,
             deadline=now + deadline_ms / 1000.0,
             enqueued_at=now,
             future=loop.create_future(),
-            single=single,
-            use_cache=use_cache,
+            cache=cache,
             trace=trace,
             ingress_at=ingress_at,
         )
@@ -582,7 +549,7 @@ class MatchingService:
         if reason is not None:
             status = 503 if reason == "draining" else 429
             self.batcher.observe_request(
-                trace, ingress_at, entries, single=single, status=status,
+                trace, ingress_at, workload.n, cache, status=status,
                 latency_ms=(time.perf_counter() - ingress_at) * 1000.0)
             return status, {
                 "error": f"request shed: {reason}",

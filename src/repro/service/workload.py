@@ -71,7 +71,7 @@ class Workload:
     for ``"auto"`` is resolved through
     :func:`~repro.backends.auto_backend` during parsing — before
     admission, and in particular before the micro-batcher's
-    per-(algorithm, backend) fusion groups entries — with the original
+    per-(algorithm, backend) fusion groups requests — with the original
     ask kept in ``requested_backend``.  Cache/record identity uses the
     resolved backend, so an ``"auto"`` request and an explicit request
     for the chosen backend share cache entries (they are the same
@@ -168,8 +168,8 @@ def parse_workload(
     default_algorithm: str,
     default_backend: str,
 ) -> Workload:
-    """Normalize one request body (or one ``lists[]`` entry) to a
-    :class:`Workload`, raising :class:`WorkloadError` on bad input."""
+    """Normalize one request body to a :class:`Workload`, raising
+    :class:`WorkloadError` on bad input."""
     if not isinstance(body, Mapping):
         raise WorkloadError(
             f"workload must be a JSON object, got {type(body).__name__}"

@@ -587,8 +587,7 @@ def _memory_panel(records: Sequence[RunRecord]) -> str:
         sections.append(
             f'<div class="card"><table>{head}{"".join(led_rows)}</table>'
             f'<p class="note">exact serialized payload bytes over the '
-            f'process-pool boundary — the traffic a zero-copy rewrite '
-            f'must drive to ~0</p></div>')
+            f'process-pool boundary</p></div>')
 
     if not sections:
         return ""

@@ -94,18 +94,28 @@ class TestBatchApi:
             batch_maximal_matching(lists, algorithm="match2")
 
     def test_label_bound_error_names_the_list(self):
-        lists = _mixed_lists(range(3), [5, 4096, 64])
-        with pytest.raises(VerificationError,
-                           match="constant-size") as single:
-            repro.maximal_matching(lists[1], algorithm="match1",
-                                   backend="numpy", rounds=1)
-        with pytest.raises(VerificationError) as batch:
-            batch_maximal_matching(lists, algorithm="match1", rounds=1)
-        assert str(batch.value) == f"list 1: {single.value}"
-        # A batch of one list is that list's arena: the single-list text.
-        with pytest.raises(VerificationError) as alone:
-            batch_maximal_matching(lists[1:2], algorithm="match1", rounds=1)
-        assert str(alone.value) == str(single.value)
+        # Two workers shard the second and third batches as
+        # [(0, 30), (30, 32)] and [(0, 31), (31, 32)]: list 31 is the
+        # second list of a shard, then alone in its shard.
+        for sizes, bad in (([5, 4096, 64], 1),
+                           ([10] * 30 + [160, 150], 31),
+                           ([4] * 31 + [150], 31)):
+            lists = _mixed_lists(range(len(sizes)), sizes)
+            with pytest.raises(VerificationError,
+                               match="constant-size") as single:
+                repro.maximal_matching(lists[bad], algorithm="match1",
+                                       backend="numpy", rounds=1)
+            for workers in (None, 2):
+                with pytest.raises(VerificationError) as batch:
+                    batch_maximal_matching(lists, algorithm="match1",
+                                           rounds=1, workers=workers)
+                assert str(batch.value) == f"list {bad}: {single.value}"
+            # A batch of one list is that list's arena: the single-list
+            # text.
+            with pytest.raises(VerificationError) as alone:
+                batch_maximal_matching(lists[bad:bad + 1],
+                                       algorithm="match1", rounds=1)
+            assert str(alone.value) == str(single.value)
 
     def test_top_level_export(self):
         assert repro.batch_maximal_matching is batch_maximal_matching

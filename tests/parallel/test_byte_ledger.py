@@ -3,8 +3,9 @@
 The parallel tier ships each list's ``NEXT`` array as raw ``int64``
 buffers (``n * 8`` bytes per list) and receives each matching's tail
 array back the same way (``matched * 8``).  The ledger must equal
-those figures exactly — it is the "before" number for the ROADMAP's
-zero-copy shared-memory rewrite, so an estimate would defeat it.
+those figures exactly: the shard spans, ``/metrics`` and perfbench's
+``parallel.bytes_out`` / ``parallel.bytes_in`` layers report it as
+the bytes that crossed the pool, not as an estimate.
 """
 
 import pickle

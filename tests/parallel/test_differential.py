@@ -73,6 +73,24 @@ def test_batch_serial_vs_parallel(workers, algorithm, kwargs):
         assert parallel.report == serial.report
 
 
+@pytest.fixture(scope="module")
+def batch_16x4096():
+    lists = [repro.random_list(4096, rng=2024 + i) for i in range(16)]
+    return lists, batch_maximal_matching(lists, algorithm="match4")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_batch_serial_vs_parallel_16x4096(batch_16x4096, workers):
+    # Lists of thousands of nodes, not only the grid's <= 257, split
+    # across 1, 2 and 4 shards.
+    lists, serial = batch_16x4096
+    parallel = batch_maximal_matching(
+        lists, algorithm="match4", workers=workers)
+    for i, (sm, pm) in enumerate(zip(serial.matchings, parallel.matchings)):
+        assert np.array_equal(sm.tails, pm.tails), f"list {i} diverged"
+    assert parallel.stats == serial.stats
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_batch_reference_backend_full_report_equality(workers):
     # Per-list backends absorb reports in input order on both paths, so

@@ -31,7 +31,6 @@ from repro.backends.batch import batch_maximal_matching
 from repro.errors import VerificationError
 from repro.service import (
     AdmissionQueue,
-    Entry,
     MatchingService,
     MicroBatcher,
     PendingRequest,
@@ -173,12 +172,10 @@ class TestDeadlines:
                                    batch_fn=recording_batch)
             workload = parse_workload({"n": 64, "seed": 0}, **PARSE)
             request = PendingRequest(
-                entries=[Entry(workload=workload)],
+                workload=workload,
                 deadline=loop.time() - 0.001,  # already dead
                 enqueued_at=loop.time(),
                 future=loop.create_future(),
-                single=True,
-                use_cache=False,
             )
             assert admission.try_admit(request) is None
             task = asyncio.create_task(batcher.run())

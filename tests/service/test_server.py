@@ -54,19 +54,6 @@ class TestEndpoints:
         assert sorted(resp.json()["tails"]) == sorted(
             int(t) for t in expect.tails)
 
-    def test_batch_endpoint(self):
-        body = {"lists": [{"n": 32, "seed": s} for s in range(3)]}
-
-        async def scenario(service):
-            return await post_json(HOST, service.port, "/v1/batch", body)
-
-        resp = run_service(ServiceConfig(**CFG), scenario)
-        assert resp.status == 200
-        results = resp.json()["results"]
-        assert len(results) == 3
-        for payload, spec in zip(results, body["lists"]):
-            assert_bit_identical(payload, spec)
-
     def test_cache_hit_on_repeat(self):
         spec = {"n": 64, "layout": "random", "seed": 7}
 
@@ -160,16 +147,20 @@ class TestValidation:
         assert after.status == 200
         assert ready.json()["inflight_bytes"] == 0
 
-    def test_malformed_batch_entry_400_not_500(self):
+    def test_deadline_past_float_range_is_clamped(self):
+        # int(1e400) has no float: it was converted before the clamp,
+        # and the OverflowError answered 500.
+        body = b'{"n": 32, "deadline_ms": 1' + b"0" * 400 + b"}"
+        resp = self._post(None, raw=body)
+        assert resp.status == 200
+
+    def test_field_of_wrong_type_400_not_500(self):
         from repro.telemetry.metrics import METRICS
 
         async def scenario(service):
-            return [
-                await post_json(HOST, service.port, "/v1/batch",
-                                {"lists": [{"n": 8}, entry]})
-                for entry in ({"n": 8, "algorithm": ["match4"]},
-                              {"n": 8, "layout": {"x": 1}})
-            ]
+            return [await match(service, body)
+                    for body in ({"n": 8, "algorithm": ["match4"]},
+                                 {"n": 8, "layout": {"x": 1}})]
 
         errors = METRICS.counter("service.errors").value
         responses = run_service(ServiceConfig(**CFG), scenario)
@@ -177,12 +168,19 @@ class TestValidation:
         assert "must be a string" in responses[0].json()["error"]
         assert METRICS.counter("service.errors").value == errors
 
-    def test_empty_batch_400(self):
-        async def scenario(service):
-            return await post_json(HOST, service.port, "/v1/batch",
-                                   {"lists": []})
+    def test_one_list_per_request(self):
+        # A request carries one list: there is no batch endpoint, and a
+        # body of several lists names no workload.
+        body = {"lists": [{"n": 32, "seed": s} for s in range(3)]}
 
-        assert run_service(ServiceConfig(**CFG), scenario).status == 400
+        async def scenario(service):
+            batch = await post_json(HOST, service.port, "/v1/batch", body)
+            return batch, await match(service, body)
+
+        batch, lists = run_service(ServiceConfig(**CFG), scenario)
+        assert batch.status == 404
+        assert lists.status == 400
+        assert "either 'next'" in lists.json()["error"]
 
     def test_unknown_path_404_and_bad_method_405(self):
         async def scenario(service):

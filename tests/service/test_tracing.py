@@ -102,7 +102,7 @@ class TestReconstructedTree:
         assert root.status == "ok"
 
     def test_cache_hit_root_has_the_same_attribute_keys(self):
-        # A full cache hit is answered by the server without queueing;
+        # A cache hit is answered by the server without queueing;
         # its root span must carry what a computed request's does.
         responses, sink = traced_requests(
             [{"n": 64, "seed": 3}, {"n": 64, "seed": 3}])
@@ -111,7 +111,7 @@ class TestReconstructedTree:
                  if s.name == "service.request"}
         miss, hit = (roots[r.json()["trace_id"]] for r in responses)
         assert set(hit.attributes) == set(miss.attributes)
-        assert hit.attributes["single"] is True
+        assert hit.attributes["n"] == miss.attributes["n"] == 64
 
     def test_fused_batch_links_every_member(self):
         # No timer makes a batch: K requests queued behind a held

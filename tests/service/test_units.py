@@ -9,7 +9,6 @@ import repro
 from repro.errors import InvalidParameterError
 from repro.service import (
     AdmissionQueue,
-    Entry,
     MicroBatcher,
     PendingRequest,
     ResponseCache,
@@ -141,14 +140,12 @@ class TestResponseCache:
         assert cache.get(("x",)) is None
 
 
-def _request(loop, workloads, deadline_s=60.0):
+def _request(loop, workload, deadline_s=60.0):
     return PendingRequest(
-        entries=[Entry(workload=w) for w in workloads],
+        workload=workload,
         deadline=loop.time() + deadline_s,
         enqueued_at=loop.time(),
         future=loop.create_future(),
-        single=len(workloads) == 1,
-        use_cache=False,
     )
 
 
@@ -160,24 +157,24 @@ class TestAdmission:
                                    max_inflight_bytes=64 * 8 * 3)
             admission = AdmissionQueue(config)
             w = parse_workload({"n": 64}, **PARSE)
-            big = parse_workload({"n": 64, "seed": 9}, **PARSE)
+            big = parse_workload({"n": 128, "seed": 9}, **PARSE)
 
-            assert admission.try_admit(_request(loop, [w])) is None
-            assert admission.try_admit(_request(loop, [w, big])) is None
+            assert admission.try_admit(_request(loop, w)) is None
+            assert admission.try_admit(_request(loop, big)) is None
             # depth limit reached
             assert admission.try_admit(
-                _request(loop, [w])) == "queue_full"
+                _request(loop, w)) == "queue_full"
             # draining beats everything
             admission.draining = True
-            assert admission.try_admit(_request(loop, [w])) == "draining"
+            assert admission.try_admit(_request(loop, w)) == "draining"
             admission.draining = False
-            # byte budget: 3 lists in flight of a 3-list budget
+            # byte budget: 3 lists' bytes in flight of a 3-list budget
             admission.get_nowait()  # depth frees up, bytes do not
             admission.get_nowait()
             assert admission.try_admit(
-                _request(loop, [w])) == "inflight_bytes"
+                _request(loop, w)) == "inflight_bytes"
             admission.release(64 * 8)
-            assert admission.try_admit(_request(loop, [w])) is None
+            assert admission.try_admit(_request(loop, w)) is None
             assert admission.admitted == 3
             assert admission.shed_counts == {
                 "queue_full": 1, "draining": 1, "inflight_bytes": 1,
@@ -190,13 +187,10 @@ class TestAdmission:
             loop = asyncio.get_running_loop()
             admission = AdmissionQueue(ServiceConfig())
             w = parse_workload({"n": 64}, **PARSE)
-            request = _request(loop, [w])
+            request = _request(loop, w)
             assert admission.try_admit(request) is None
             assert request.admitted_bytes == 64 * 8
-            # serving the entry zeroes nbytes but not the admitted
-            # snapshot — release() must return the full charge
-            request.entries[0].payload = {"served": True}
-            assert request.nbytes == 0
+            # release() must return the full charge
             admission.release(request.admitted_bytes)
             assert admission.inflight_bytes == 0
 
@@ -212,7 +206,7 @@ class TestAdmission:
             admission = AdmissionQueue(config)
             batcher = MicroBatcher(admission, config)
             w = parse_workload({"n": 64}, **PARSE)
-            request = _request(loop, [w], deadline_s=-1.0)
+            request = _request(loop, w, deadline_s=-1.0)
             assert admission.try_admit(request) is None
             assert admission.inflight_bytes == 64 * 8
             request.future.cancel()
@@ -221,3 +215,25 @@ class TestAdmission:
             return admission.inflight_bytes
 
         assert asyncio.run(scenario()) == 0
+
+    def test_cancelled_live_request_releases_its_bytes_uncomputed(self):
+        # The same for a request within its deadline: its group skips
+        # it, and its bytes still come back.
+        calls = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            config = ServiceConfig()
+            admission = AdmissionQueue(config)
+            batcher = MicroBatcher(
+                admission, config,
+                batch_fn=lambda lists, **kw: calls.append(lists))
+            w = parse_workload({"n": 64}, **PARSE)
+            request = _request(loop, w)
+            assert admission.try_admit(request) is None
+            request.future.cancel()
+            await batcher._dispatch([admission.get_nowait()])
+            return admission.inflight_bytes
+
+        assert asyncio.run(scenario()) == 0
+        assert calls == []

@@ -169,7 +169,7 @@ class TestMemoryPanel:
         assert "tracemalloc peaks" in html            # stacked bars
         assert "bytes-touched model" in html          # bandwidth table
         assert "array-sweep-rw-v1" in html
-        assert "zero-copy" in html                    # ledger table
+        assert "process-pool boundary" in html        # ledger table
         assert "span replay" in html
 
     def test_byte_quantities_formatted(self):
